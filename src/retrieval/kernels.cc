@@ -1,7 +1,6 @@
 #include "retrieval/kernels.h"
 
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 
 namespace neutraj::retrieval {
@@ -16,10 +15,6 @@ double ExactSquaredL2(const double* a, const double* b, size_t dim) {
     acc += diff * diff;
   }
   return acc;
-}
-
-double ExactL2(const double* a, const double* b, size_t dim) {
-  return std::sqrt(ExactSquaredL2(a, b, dim));
 }
 
 namespace internal {
@@ -109,15 +104,6 @@ void SetQuantizedKernel(QuantizedKernel choice) {
 int64_t WeightedCodeSquaredL2(const int8_t* a, const int8_t* b,
                               const int32_t* w, size_t dim) {
   return ActiveWeighted()(a, b, w, dim);
-}
-
-int64_t CodeSquaredL2(const int8_t* a, const int8_t* b, size_t dim) {
-  int64_t acc = 0;
-  for (size_t d = 0; d < dim; ++d) {
-    const int32_t diff = static_cast<int32_t>(a[d]) - b[d];
-    acc += diff * diff;
-  }
-  return acc;
 }
 
 const char* QuantizedKernelName() {

@@ -4,11 +4,10 @@
 // Two tiers share this header so every caller is explicit about which
 // accuracy it is buying:
 //
-//   - Exact kernels (double): bit-identical to the core scan path
-//     (nn::L2Distance), used by k-means training, sharded exact scans and
-//     the final re-rank. ExactSquaredL2 is the monotone form (no sqrt) for
-//     argmin searches; ExactL2 matches the distances the serving TopK
-//     returns.
+//   - Exact kernel (double): bit-identical to the core scan path
+//     (nn::L2Distance), used by k-means training and the final re-rank.
+//     ExactSquaredL2 is the monotone form (no sqrt) for argmin searches;
+//     its sqrt is the distance the serving TopK returns.
 //
 //   - Quantized kernels (int8 codes): integer-only inner loops — subtract,
 //     square, weighted i32 products accumulated into i64 — so the candidate
@@ -41,9 +40,6 @@ namespace neutraj::retrieval {
 /// is bit-identical to the core scan's distance.
 double ExactSquaredL2(const double* a, const double* b, size_t dim);
 
-/// sqrt(ExactSquaredL2): the distance the serving TopK reports.
-double ExactL2(const double* a, const double* b, size_t dim);
-
 /// Σ w_d · (a_d - b_d)² over int8 codes with int32 weights, accumulated in
 /// int64. Exact for any dim ≤ 2^31 / (254² · max_w) per partial block —
 /// with w_d ≤ 256 a single (a-b)²·w product fits comfortably in i32 and
@@ -51,9 +47,6 @@ double ExactL2(const double* a, const double* b, size_t dim);
 /// and identical across the portable and SIMD implementations.
 int64_t WeightedCodeSquaredL2(const int8_t* a, const int8_t* b,
                               const int32_t* w, size_t dim);
-
-/// Unweighted Σ (a_d - b_d)² over int8 codes (uniform-scale quantizers).
-int64_t CodeSquaredL2(const int8_t* a, const int8_t* b, size_t dim);
 
 /// Name of the active quantized-kernel implementation ("avx2" or
 /// "portable") — surfaced in benchmarks so results name their kernel.

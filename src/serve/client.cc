@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -161,6 +162,10 @@ int Client::ConnectOnce(const std::string& host, uint16_t port,
     SetNonBlocking(fd, false);
   }
 
+  // Requests are small frames, often pipelined: Nagle would hold each one
+  // behind the server's delayed ACK of the previous one.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (io_timeout_ms_ > 0) {
     timeval tv{};
     tv.tv_sec = io_timeout_ms_ / 1000;

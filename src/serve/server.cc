@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -218,6 +219,11 @@ void Server::AcceptLoop() {
 }
 
 void Server::ConnectionLoop(int fd) {
+  // Replies are small frames written back to back. With Nagle on, a reply
+  // written while the previous one is unacknowledged waits for the client's
+  // delayed ACK (~40 ms on Linux).
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (opts_.idle_timeout_ms > 0) {
     timeval tv{};
     tv.tv_sec = opts_.idle_timeout_ms / 1000;

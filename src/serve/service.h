@@ -112,13 +112,13 @@ class QueryService {
   /// Inserts keep landing in the database/store first and are then mirrored
   /// to the backend via NotifyInsert, so the backend stays a view of the
   /// durable corpus. The backend's metrics re-register into this service's
-  /// registry. Pass nullptr (the default state) for the plain exact scan.
-  /// Not thread-safe against in-flight requests — call before serving.
+  /// registry. nullptr restores the service's own exact backend (the
+  /// default state). Not thread-safe against in-flight requests — call
+  /// before serving.
   void set_retrieval_backend(retrieval::RetrievalBackend* backend) {
-    backend_ = backend;
-    if (backend_ != nullptr) backend_->AttachMetrics(&registry_);
+    backend_ = backend != nullptr ? backend : &exact_backend_;
+    backend_->AttachMetrics(&registry_);
   }
-  retrieval::RetrievalBackend* retrieval_backend() { return backend_; }
 
   /// Applies tracing knobs (sampling rate, ring size, slow-query log) to
   /// this service's tracer. Not thread-safe against in-flight requests —
@@ -145,8 +145,10 @@ class QueryService {
   const NeuTrajModel& model_;
   EmbeddingDatabase* db_;
   store::DurableStore* store_;  ///< Nullable: no durability configured.
-  /// Nullable: no ANN backend configured — TopK scans db_ directly.
-  retrieval::RetrievalBackend* backend_ = nullptr;
+  /// The full scan over db_; serves TopK unless another backend is set.
+  retrieval::ExactBackend exact_backend_{db_};
+  /// Never null: answers every TopK and sees every insert.
+  retrieval::RetrievalBackend* backend_ = &exact_backend_;
   /// Per-service registry (declared before the members that register into
   /// it): two services in one process — routine in tests — never share
   /// counters, and a stats snapshot covers exactly this server's traffic.

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -820,6 +821,133 @@ TEST_F(ServerTest, ServedBytesAreBitIdenticalWithTracingOnAndOff) {
   const std::vector<obs::FinishedTrace> traces = svc_.tracer().Dump();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces.front().trace_id, 0xabcdef123456ULL);
+  server.Stop();
+}
+
+// -- The exact path is a backend like any other -------------------------------
+
+/// One sampled TopK through `svc`, socketless: the raw reply payload plus
+/// the stages of the trace it recorded.
+std::pair<std::string, std::set<std::string>> SampledTopK(
+    QueryService* svc, const Trajectory& query, uint64_t trace_id) {
+  TopKRequest req;
+  req.query = query;
+  req.k = 5;
+  req.trace = {trace_id, /*sampled=*/true};
+  WireFrame frame;
+  frame.type = static_cast<uint16_t>(MsgType::kTopKRequest);
+  frame.payload = SerializeTopKRequest(req);
+  const WireFrame reply = svc->Handle(frame);
+  EXPECT_EQ(reply.type, static_cast<uint16_t>(MsgType::kTopKResponse));
+  std::set<std::string> stages;
+  const std::vector<obs::FinishedTrace> last = svc->tracer().Dump(1);
+  EXPECT_EQ(last.size(), 1u);
+  for (const obs::FinishedTrace& t : last) {
+    EXPECT_EQ(t.trace_id, trace_id);
+    for (const obs::FinishedSpan& span : t.spans) stages.insert(span.stage);
+  }
+  return {reply.payload, stages};
+}
+
+TEST_F(ServerTest, ResettingTheBackendRestoresTheOwnedExactScan) {
+  // A default service answers TopK through its own exact backend: one
+  // "scan" stage, no IVF stages. Installing an IVF backend and then
+  // passing nullptr must bring that exact path back, byte for byte.
+  EmbeddingDatabase exact_db = EmbeddingDatabase::Build(model_, corpus_, 2);
+  QueryService exact_svc(model_, &exact_db, BatchOpts());
+
+  Rng rng(91);
+  std::vector<Trajectory> queries;
+  for (int i = 0; i < 4; ++i) {
+    queries.push_back(RandomTrajectory(6, 100.0, &rng));
+  }
+  std::vector<std::string> expected;
+  uint64_t trace_id = 0x5ca9000001ULL;
+  for (const Trajectory& q : queries) {
+    const auto [payload, stages] = SampledTopK(&exact_svc, q, ++trace_id);
+    EXPECT_TRUE(stages.count("scan"));
+    EXPECT_FALSE(stages.count("probe"));
+    EXPECT_FALSE(stages.count("rerank"));
+    expected.push_back(payload);
+  }
+
+  retrieval::IvfIndex::Options opts;
+  opts.nlist = 4;
+  opts.train_sample = 64;
+  opts.kmeans_iters = 4;
+  opts.default_nprobe = opts.nlist;  // Full probe.
+  opts.rerank = db_.size();
+  retrieval::IvfBackend backend(&db_, opts);
+  backend.Build();
+  svc_.set_retrieval_backend(&backend);
+  {
+    const auto [payload, stages] = SampledTopK(&svc_, queries[0], ++trace_id);
+    EXPECT_EQ(payload, expected[0]);  // Full probe: exact answers.
+    EXPECT_TRUE(stages.count("probe"));
+    EXPECT_TRUE(stages.count("rerank"));
+    EXPECT_FALSE(stages.count("scan"));
+  }
+
+  svc_.set_retrieval_backend(nullptr);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto [payload, stages] = SampledTopK(&svc_, queries[i], ++trace_id);
+    EXPECT_EQ(payload, expected[i]) << "query " << i;
+    EXPECT_TRUE(stages.count("scan"));
+    EXPECT_FALSE(stages.count("probe"));
+    EXPECT_FALSE(stages.count("rerank"));
+  }
+}
+
+// -- Socket options ------------------------------------------------------------
+
+/// TCP_NODELAY as read back from `fd`.
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST_F(ServerTest, ServerAndClientSocketsSetTcpNoDelay) {
+  // Both ends of a connection disable Nagle, or a small reply written
+  // behind an unacknowledged one stalls for the peer's delayed ACK. Server
+  // and client share this process, so the test finds both ends among its
+  // own descriptors: the accepted socket's local port is the server's, the
+  // client socket's peer port is.
+  Server server(&svc_, ServerOptions{});
+  server.Start();
+  Client client = Connect(server);
+  // A full round trip: the handler has configured its socket by the time
+  // it replies.
+  EXPECT_TRUE(client.Health().ok);
+
+  const uint16_t port = htons(server.port());
+  int accepted = 0;
+  int connected = 0;
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    socklen_t local_len = sizeof(local);
+    socklen_t peer_len = sizeof(peer);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) !=
+            0 ||
+        local.sin_family != AF_INET ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) !=
+            0) {
+      continue;  // Not a connected IPv4 socket (the listener has no peer).
+    }
+    if (local.sin_port == port) {
+      ++accepted;
+      EXPECT_EQ(NoDelayOf(fd), 1) << "accepted fd " << fd;
+    } else if (peer.sin_port == port) {
+      ++connected;
+      EXPECT_EQ(NoDelayOf(fd), 1) << "client fd " << fd;
+    }
+  }
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(connected, 1);
+
+  client.Close();
   server.Stop();
 }
 

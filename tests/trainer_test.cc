@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 
 #include "core/search.h"
 #include "core/trainer.h"
@@ -52,14 +53,24 @@ NeuTrajConfig TinyConfig(NeuTrajConfig base) {
   return base;
 }
 
-class VariantTrainingTest
-    : public ::testing::TestWithParam<std::pair<const char*, NeuTrajConfig>> {};
+/// One training variant under test. gtest prints it by name only: the test
+/// names it reports (and ctest registers from them) then stay the same from
+/// build to build, where printing the raw `const char*` embedded a pointer
+/// that address-space randomisation changes on every run.
+struct Variant {
+  const char* name;
+  NeuTrajConfig config;
+};
+
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
+class VariantTrainingTest : public ::testing::TestWithParam<Variant> {};
 
 TEST_P(VariantTrainingTest, LossDecreasesOverTraining) {
   Rng rng(71);
   const auto corpus = ClusteredCorpus(24, &rng);
   const DistanceMatrix d = ComputePairwiseDistances(corpus, Measure::kFrechet);
-  NeuTrajConfig cfg = TinyConfig(GetParam().second);
+  NeuTrajConfig cfg = TinyConfig(GetParam().config);
   cfg.epochs = 10;
   Trainer trainer(cfg, CorpusGrid(corpus), corpus, d);
   const TrainResult r = trainer.Train();
@@ -71,7 +82,7 @@ TEST_P(VariantTrainingTest, LossDecreasesOverTraining) {
   const double tail = (r.epochs[cfg.epochs - 2].mean_loss +
                        r.epochs[cfg.epochs - 1].mean_loss) /
                       2.0;
-  EXPECT_LT(tail, head) << GetParam().first
+  EXPECT_LT(tail, head) << GetParam().name
                         << " should reduce its training loss";
   EXPECT_GT(r.total_seconds, 0.0);
 }
@@ -84,15 +95,15 @@ NeuTrajConfig WithBackbone(NeuTrajConfig cfg, nn::Backbone backbone) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, VariantTrainingTest,
     ::testing::Values(
-        std::make_pair("NeuTraj", NeuTrajConfig::NeuTraj()),
-        std::make_pair("NoSam", NeuTrajConfig::NoSam()),
-        std::make_pair("NoWs", NeuTrajConfig::NoWs()),
-        std::make_pair("Siamese", NeuTrajConfig::Siamese()),
-        std::make_pair("Gru", WithBackbone(NeuTrajConfig::NeuTraj(),
-                                           nn::Backbone::kGru)),
-        std::make_pair("SamGru", WithBackbone(NeuTrajConfig::NeuTraj(),
-                                              nn::Backbone::kSamGru))),
-    [](const auto& param_info) { return std::string(param_info.param.first); });
+        Variant{"NeuTraj", NeuTrajConfig::NeuTraj()},
+        Variant{"NoSam", NeuTrajConfig::NoSam()},
+        Variant{"NoWs", NeuTrajConfig::NoWs()},
+        Variant{"Siamese", NeuTrajConfig::Siamese()},
+        Variant{"Gru",
+                WithBackbone(NeuTrajConfig::NeuTraj(), nn::Backbone::kGru)},
+        Variant{"SamGru", WithBackbone(NeuTrajConfig::NeuTraj(),
+                                       nn::Backbone::kSamGru)}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(TrainerTest, RejectsBadInputs) {
   Rng rng(72);
