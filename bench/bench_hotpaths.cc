@@ -1,20 +1,13 @@
 // Hot-path microbenchmark: blocked dense kernels, one training epoch, bulk
-// corpus encoding at 1/2/4/8 threads, and the observability overhead of
-// trace spans on the encode path. Emits BENCH_hotpaths.json with the raw
-// timings so perf regressions are diffable across commits.
+// corpus encoding at 1/2/4/8 threads, and the request-tracing overhead on
+// the batcher encode path. Emits BENCH_hotpaths.json with the raw timings
+// so perf regressions are diffable across commits.
 //
 // Two invariants are asserted while timing, not just measured:
 //   - the blocked kernels agree with the textbook loops they replaced;
 //   - the epoch loss is identical (bit for bit) at every thread count.
 // Wall-clock speedups depend on the machine's core count; the JSON records
 // the detected hardware_concurrency alongside every timing for context.
-//
-// The observability section compares encoding with tracing off (the default:
-// one relaxed atomic load per instrumented scope) against coarse tracing on
-// (clock reads + histogram records per encode). The enabled overhead is
-// gated at <= 2%; builds with -DNEUTRAJ_OBS_NOTRACE remove the spans at the
-// preprocessor level, so their compiled-out cost is exactly zero by
-// construction and needs no measurement.
 //
 // The request-tracing section measures the per-request span-tree cost at
 // the micro-batcher level (the hot serving path): blocking Encode calls
@@ -185,57 +178,6 @@ std::vector<ThreadTiming> BenchTraining() {
   return out;
 }
 
-struct ObsTiming {
-  double off_s;       ///< Encode corpus, tracing off (runtime-disabled).
-  double coarse_s;    ///< Encode corpus, coarse spans recording.
-  double overhead;    ///< coarse_s / off_s - 1.
-};
-
-/// Measures the cost of the nn/encode trace span on the serial encode path,
-/// best-of-N to shake scheduler noise out of the comparison.
-ObsTiming BenchObservability() {
-  GeneratorConfig gen = PortoLikeConfig(0.1);
-  gen.num_trajectories = 400;
-  gen.seed = 777;
-  const TrajectoryDataset data = GeneratePortoLike(gen);
-  std::vector<Trajectory> seeds(data.trajectories.begin(),
-                                data.trajectories.begin() +
-                                    std::min<size_t>(40, data.trajectories.size()));
-  const DistanceMatrix dists =
-      ComputePairwiseDistances(seeds, Measure::kFrechet);
-  BoundingBox region = BoundingBox::Empty();
-  for (const Trajectory& t : data.trajectories) region.Extend(t.Bounds());
-  const Grid grid(region.Inflated(10.0), 100.0);
-
-  NeuTrajConfig cfg = NeuTrajConfig::NeuTraj();
-  cfg.embedding_dim = 32;
-  cfg.epochs = 1;
-  Trainer trainer(cfg, grid, seeds, dists);
-  trainer.Train();
-  const NeuTrajModel model = trainer.TakeModel();
-
-  constexpr int kRounds = 5;
-  auto best_of = [&](obs::TraceLevel level) {
-    obs::SetTraceLevel(level);
-    double best = 1e300;
-    for (int r = 0; r < kRounds; ++r) {
-      Stopwatch sw;
-      const auto embeds = model.EmbedAll(data.trajectories);
-      best = std::min(best, sw.ElapsedSeconds());
-      if (embeds.empty()) std::exit(1);  // Keeps the encode from being DCE'd.
-    }
-    return best;
-  };
-
-  best_of(obs::TraceLevel::kOff);  // Warm-up round set.
-  ObsTiming t;
-  t.off_s = best_of(obs::TraceLevel::kOff);
-  t.coarse_s = best_of(obs::TraceLevel::kCoarse);
-  obs::SetTraceLevel(obs::TraceLevel::kOff);
-  t.overhead = t.coarse_s / t.off_s - 1.0;
-  return t;
-}
-
 struct ReqTraceTiming {
   double off_s = 0.0;     ///< Batcher encodes, no RequestTrace attached.
   double traced_s = 0.0;  ///< A live RequestTrace on every request.
@@ -306,7 +248,7 @@ int main() {
   std::printf("hardware_concurrency: %u\n",
               std::thread::hardware_concurrency());
 
-  std::printf("\n[1/4] dense kernels (blocked vs naive)\n");
+  std::printf("\n[1/3] dense kernels (blocked vs naive)\n");
   const auto kernels = BenchKernels();
   for (const KernelTiming& k : kernels) {
     std::printf("  %-16s %4zux%-4zu  naive %8.1f ns  blocked %8.1f ns  (%.2fx)\n",
@@ -314,21 +256,10 @@ int main() {
                 k.naive_ns / k.blocked_ns);
   }
 
-  std::printf("\n[2/4] training epoch + corpus encoding by thread count\n");
+  std::printf("\n[2/3] training epoch + corpus encoding by thread count\n");
   const auto threads = BenchTraining();
 
-  std::printf("\n[3/4] trace-span overhead on the encode path\n");
-  const ObsTiming obs_t = BenchObservability();
-  std::printf("  tracing off %.4fs  coarse %.4fs  overhead %+.2f%%\n",
-              obs_t.off_s, obs_t.coarse_s, obs_t.overhead * 100.0);
-  if (obs_t.overhead > 0.02) {
-    std::fprintf(stderr,
-                 "FATAL: enabled trace spans cost %.2f%% > 2%% budget\n",
-                 obs_t.overhead * 100.0);
-    return 1;
-  }
-
-  std::printf("\n[4/4] request-trace span recording on the batcher path\n");
+  std::printf("\n[3/3] request-trace span recording on the batcher path\n");
   const ReqTraceTiming rt = BenchReqTrace();
   std::printf("  untraced %.4fs  every-request traced %.4fs  "
               "overhead %+.2f%%\n",
@@ -372,12 +303,6 @@ int main() {
                  t.first_loss, i + 1 < threads.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"observability\": {\"encode_trace_off_seconds\": %.4f, "
-               "\"encode_trace_coarse_seconds\": %.4f, "
-               "\"enabled_span_overhead\": %.4f, "
-               "\"compiled_out_overhead\": 0.0},\n",
-               obs_t.off_s, obs_t.coarse_s, obs_t.overhead);
   std::fprintf(f,
                "  \"reqtrace\": {\"batcher_untraced_seconds\": %.4f, "
                "\"batcher_traced_seconds\": %.4f, "

@@ -29,18 +29,9 @@ ScopedSuspendFiniteChecks::~ScopedSuspendFiniteChecks() {
 }  // namespace neutraj
 
 namespace neutraj::check_internal {
-namespace {
-
-std::atomic<FailureHook> g_failure_hook{nullptr};
-
-}  // namespace
 
 bool FiniteChecksSuspended() {
   return g_finite_checks_suspended.load(std::memory_order_relaxed) != 0;
-}
-
-void SetCheckFailureHook(FailureHook hook) {
-  g_failure_hook.store(hook, std::memory_order_release);
 }
 
 void CheckFailed(const char* macro, const char* expr, const char* file,
@@ -52,14 +43,6 @@ void CheckFailed(const char* macro, const char* expr, const char* file,
     std::fprintf(stderr, "%s failed: %s at %s:%d\n", macro, expr, file, line);
   }
   std::fflush(stderr);
-  // A hook that itself fails a contract must not recurse forever; run it at
-  // most once per process.
-  static std::atomic<bool> hook_ran{false};
-  if (FailureHook hook = g_failure_hook.load(std::memory_order_acquire);
-      hook != nullptr && !hook_ran.exchange(true)) {
-    hook();
-    std::fflush(stderr);
-  }
   std::abort();
 }
 

@@ -44,14 +44,6 @@ namespace neutraj::check_internal {
 [[noreturn]] void CheckFailed(const char* macro, const char* expr,
                               const char* file, int line, const char* msg);
 
-/// Optional hook invoked once (recursion-guarded) by CheckFailed after the
-/// failure message and before abort(). The observability flight recorder
-/// installs itself here so a fatal contract violation dumps the last recorded
-/// spans/events. The hook must be async-abort-tolerant: keep it simple, it
-/// runs while the process is dying.
-using FailureHook = void (*)();
-void SetCheckFailureHook(FailureHook hook);
-
 /// True when every element of `seq` (any range of doubles) is finite.
 template <typename Seq>
 bool AllFinite(const Seq& seq) {

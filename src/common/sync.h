@@ -16,7 +16,7 @@
 //      *ordering*; a Mutex/SharedMutex constructed with a rank participates
 //      in a per-thread held-rank stack, and acquiring a lock whose rank is
 //      not strictly greater than every rank already held fires the fatal
-//      NEUTRAJ_ASSERT path (flight-recorder dump included) at the first
+//      NEUTRAJ_ASSERT path at the first
 //      out-of-order acquisition — no actual deadlock interleaving required.
 //      Release builds compile the rank bookkeeping out entirely
 //      (kLockRankChecksEnabled is false and every call sits behind
@@ -42,9 +42,8 @@
 // kRetrieval sits below kDb because the IVF probe may still hold its lock
 // when the exact re-rank enters the EmbeddingDatabase reader lock.
 //
-// (obs::FlightRecorder's mutex is deliberately *unranked*: it is a leaf
-// acquired from the NEUTRAJ_ASSERT failure hook while the process is dying,
-// where a rank violation report would recurse into the hook itself.)
+// (A default-constructed Mutex is *unranked*: it takes part in neither
+// ordering nor depth. Every mutex in src/ carries a rank.)
 //
 // Raw std::mutex / std::lock_guard / std::unique_lock are banned outside
 // this file by tools/lint.sh rule 7 — all locking flows through these

@@ -15,9 +15,8 @@
 #include "common/thread_pool.h"
 #include "core/loss.h"
 #include "geo/traj_io.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/reqtrace.h"
 
 namespace neutraj {
 
@@ -396,11 +395,13 @@ TrainResult Trainer::Train(const EpochCallback& callback) {
   obs::Counter& c_pairs = reg.GetCounter("train/sampled_pairs");
   obs::Counter& c_encodes = reg.GetCounter("train/encoded_trajs");
   obs::Counter& c_rollbacks = reg.GetCounter("train/watchdog_rollbacks");
+  obs::ConcurrentHistogram& h_epoch_us =
+      reg.GetHistogram("trace/trainer/epoch_us");
 
   size_t rollbacks = 0;          // Total watchdog trips this Train() call.
   size_t consecutive_trips = 0;  // Trips since the last clean epoch.
   while (next_epoch_ < cfg_.epochs) {
-    NEUTRAJ_TRACE_SPAN("trainer/epoch");
+    obs::StageSpan epoch_span(nullptr, "trainer/epoch", &h_epoch_us);
     const size_t epoch = next_epoch_;
     Stopwatch sw;
     // The anchor order must be a pure function of the checkpointed RNG
@@ -498,9 +499,6 @@ TrainResult Trainer::Train(const EpochCallback& callback) {
       ev.epoch = epoch;
       ev.reason = trip;
       c_rollbacks.Increment();
-      obs::FlightRecorder::Global().RecordEvent("trainer/watchdog_rollback",
-                                               static_cast<double>(epoch));
-      obs::FlightRecorder::Global().DumpToStderr("divergence watchdog rollback");
       // Roll back to the last good epoch boundary; the abandoned epoch's
       // gradients, memory writes and RNG draws are all discarded.
       RestoreState(last_good, "Trainer watchdog rollback");

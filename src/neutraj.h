@@ -58,10 +58,8 @@
 #include "index/inverted_grid.h"
 #include "index/rtree.h"
 #include "index/vp_tree.h"
-#include "obs/flight_recorder.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "retrieval/backend.h"
 #include "retrieval/ivf_index.h"
 #include "retrieval/kernels.h"

@@ -3,7 +3,8 @@
 #include <stdexcept>
 
 #include "common/check.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
+#include "obs/reqtrace.h"
 
 namespace neutraj::nn {
 
@@ -50,7 +51,9 @@ void Encoder::Initialize(Rng* rng) {
 Vector Encoder::Encode(const Trajectory& traj, bool update_memory,
                        EncodeTape* tape, CellWorkspace* ws,
                        MemoryWriteLog* write_log) {
-  NEUTRAJ_TRACE_SPAN("nn/encode");
+  static obs::ConcurrentHistogram& encode_us =
+      obs::MetricsRegistry::Global().GetHistogram("trace/nn/encode_us");
+  obs::StageSpan span(nullptr, "nn/encode", &encode_us);
   if (traj.empty()) throw std::invalid_argument("Encode: empty trajectory");
   const size_t len = traj.size();
   if (tape != nullptr) {
@@ -129,7 +132,9 @@ Vector Encoder::Encode(const Trajectory& traj, bool update_memory,
 
 void Encoder::Backward(const EncodeTape& tape, const Vector& d_embedding,
                        GradBuffer* sink, CellWorkspace* ws) {
-  NEUTRAJ_TRACE_SPAN("nn/backward");
+  static obs::ConcurrentHistogram& backward_us =
+      obs::MetricsRegistry::Global().GetHistogram("trace/nn/backward_us");
+  obs::StageSpan span(nullptr, "nn/backward", &backward_us);
   if (d_embedding.size() != hidden_) {
     throw std::invalid_argument("Backward: gradient dimension mismatch");
   }

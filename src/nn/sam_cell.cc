@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "nn/init.h"
-#include "obs/trace.h"
 
 namespace neutraj::nn {
 
@@ -78,7 +77,6 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
   CellWorkspace local_ws_storage;
   CellWorkspace* w = ws != nullptr ? ws : &local_ws_storage;
   {
-    NEUTRAJ_TRACE_FINE_SPAN("nn/sam/gates");
     // Gate pre-activations (Eq. 1).
     Vector& pre = w->pre;
     pre.resize(4 * d);
@@ -122,16 +120,12 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
     // snapshot. Never-written cells are masked out of the softmax; if the
     // whole window is unvisited the step degenerates to a plain LSTM step.
     std::vector<char>& mask = w->mask;
-    {
-      NEUTRAJ_TRACE_FINE_SPAN("nn/sam/attention");
-      memory->GatherWindow(window_cells, &tape->att.g, &mask);
-      AttentionForwardPrefilled(&tape->att, tape->c_hat, &mask);
-    }
+    memory->GatherWindow(window_cells, &tape->att.g, &mask);
+    AttentionForwardPrefilled(&tape->att, tape->c_hat, &mask);
     if (tape->att.all_masked) {
       tape->used_memory = false;
       tape->c = tape->c_hat;
       if (update_memory) {
-        NEUTRAJ_TRACE_FINE_SPAN("nn/sam/memory_write");
         if (write_log != nullptr) {
           write_log->push_back({center, tape->s, tape->c});
         } else {
@@ -167,7 +161,6 @@ void SamLstmCell::Forward(const Vector& x, const Vector& h_prev,
     // Memory write (Eq. 5) — persistent-state update, no gradient. Deferred
     // into the log when one is supplied, applied in place otherwise.
     if (update_memory) {
-      NEUTRAJ_TRACE_FINE_SPAN("nn/sam/memory_write");
       if (write_log != nullptr) {
         write_log->push_back({center, tape->s, tape->c});
       } else {

@@ -24,8 +24,11 @@
 //                  instead of reallocating, so recording never takes a lock
 //                  or allocates on another subsystem's thread.
 //
-//   StageSpan      RAII span recorder; inert on a null trace, which is how
-//                  the 1-in-N unsampled majority pays only a pointer test.
+//   StageSpan      The one span type: one steady-clock interval per scope,
+//                  recorded into an optional histogram (always-on per-layer
+//                  timing) and into the request's trace when it is sampled.
+//                  With neither it reads no clock, which is how the 1-in-N
+//                  unsampled majority pays only two pointer tests.
 //
 //   RequestTracer  Owns sampling, the ring of completed trees (served by
 //                  the kTraceDump endpoint), the slow-query JSONL log, and
@@ -57,6 +60,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -65,7 +69,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
 
@@ -135,8 +138,14 @@ class RequestTrace {
     s.tid = CompactThreadId();
   }
 
-  /// µs since this trace began — the time base every span offset uses.
-  double ElapsedMicros() const { return clock_.ElapsedMicros(); }
+  /// µs from this trace's start to `t` — the time base every span offset
+  /// uses.
+  double OffsetMicros(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double, std::micro>(t - start_).count();
+  }
+  double ElapsedMicros() const {
+    return OffsetMicros(std::chrono::steady_clock::now());
+  }
 
   const TraceContext& context() const { return ctx_; }
   const char* endpoint() const { return endpoint_; }
@@ -157,21 +166,27 @@ class RequestTrace {
 
   TraceContext ctx_;
   const char* endpoint_;
-  Stopwatch clock_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
   std::atomic<uint32_t> size_{0};
   std::atomic<uint64_t> dropped_{0};
   std::array<Slot, kMaxSpans> spans_;
   double total_override_us_ = -1.0;
 };
 
-/// RAII stage recorder. Null trace = fully inert (one pointer test), which
-/// is the unsampled fast path everywhere.
+/// RAII span over one stage. The clock is read once at start and once at
+/// Stop(), and only when `trace` or `hist` is non-null; the one duration is
+/// recorded into `hist` and, for a sampled request, into `trace`. Both null
+/// is the fully inert unsampled fast path.
 class StageSpan {
  public:
-  StageSpan(RequestTrace* trace, const char* stage)
-      : trace_(trace),
-        stage_(stage),
-        start_us_(trace != nullptr ? trace->ElapsedMicros() : 0.0) {}
+  StageSpan(RequestTrace* trace, const char* stage,
+            ConcurrentHistogram* hist = nullptr)
+      : trace_(trace), hist_(hist), stage_(stage) {
+    if (trace_ != nullptr || hist_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
+  }
 
   StageSpan(const StageSpan&) = delete;
   StageSpan& operator=(const StageSpan&) = delete;
@@ -180,15 +195,23 @@ class StageSpan {
 
   /// Ends the span early (idempotent).
   void Stop() {
-    if (trace_ == nullptr) return;
-    trace_->Record(stage_, start_us_, trace_->ElapsedMicros() - start_us_);
+    if (trace_ == nullptr && hist_ == nullptr) return;
+    const double dur_us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start_)
+                              .count();
+    if (hist_ != nullptr) hist_->Record(dur_us);
+    if (trace_ != nullptr) {
+      trace_->Record(stage_, trace_->OffsetMicros(start_), dur_us);
+    }
     trace_ = nullptr;
+    hist_ = nullptr;
   }
 
  private:
   RequestTrace* trace_;
+  ConcurrentHistogram* hist_;
   const char* stage_;
-  double start_us_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Tracing knobs; lives on serve::ServerOptions and is forwarded to the

@@ -1,7 +1,5 @@
 #include "retrieval/backend.h"
 
-#include "common/stopwatch.h"
-
 namespace neutraj::retrieval {
 
 SearchResult ExactBackend::TopK(const nn::Vector& query, size_t k,
@@ -38,21 +36,17 @@ void IvfBackend::NotifyInsert(size_t id, const nn::Vector& embedding) {
 SearchResult IvfBackend::TopK(const nn::Vector& query, size_t k,
                               int64_t exclude, size_t nprobe,
                               obs::RequestTrace* trace) {
-  Stopwatch probe_sw;
-  obs::StageSpan probe_span(trace, "probe");
+  obs::StageSpan probe_span(trace, "probe", probe_us_);
   const IvfIndex::CandidateSet candidates =
       index_.Candidates(query, k, nprobe);
   probe_span.Stop();
-  probe_us_->Record(probe_sw.ElapsedMillis() * 1e3);
   candidates_scanned_->Add(candidates.scanned);
   lists_probed_->Add(candidates.probed);
   queries_->Increment();
 
-  Stopwatch rerank_sw;
-  obs::StageSpan rerank_span(trace, "rerank");
+  obs::StageSpan rerank_span(trace, "rerank", rerank_us_);
   SearchResult result = db_->TopKOf(query, candidates.ids, k, exclude);
   rerank_span.Stop();
-  rerank_us_->Record(rerank_sw.ElapsedMillis() * 1e3);
   // Recall proxy: candidates.ids is ascending by proxy distance, so its
   // front is the quantized tier's best guess; count how often the exact
   // re-rank agrees.

@@ -43,7 +43,7 @@ StatsSnapshot ServerStats::Snapshot() const {
   snap.uptime_seconds = uptime_.ElapsedSeconds();
   const double uptime = std::max(snap.uptime_seconds, 1e-9);
   for (size_t i = 0; i < per_.size(); ++i) {
-    const LatencyHistogram hist = per_[i].hist->Snapshot();
+    const obs::LatencyHistogram hist = per_[i].hist->Snapshot();
     EndpointSnapshot es;
     es.name = EndpointName(static_cast<Endpoint>(i));
     es.requests = hist.count();

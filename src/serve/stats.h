@@ -30,9 +30,6 @@
 
 namespace neutraj::serve {
 
-/// The histogram moved to obs/metrics.h; serve code keeps its old name.
-using LatencyHistogram = obs::LatencyHistogram;
-
 /// The service's request kinds, indexing the per-endpoint counters.
 enum class Endpoint : size_t {
   kEncode = 0,

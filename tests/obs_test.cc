@@ -1,8 +1,8 @@
 // Tests for the observability layer (src/obs/): the metrics registry
-// (counters, gauges, concurrent log2 histograms), scoped tracing
-// (obs/trace.h span macros), the flight_recorder ring buffer, the jsonl
-// metrics sink, and the Prometheus text renderer — plus an end-to-end check
-// that training telemetry never changes training numerics.
+// (counters, gauges, concurrent log2 histograms), the always-on span sites
+// in the encoder and trainer, the jsonl metrics sink, and the Prometheus
+// text renderer — plus an end-to-end check that training telemetry never
+// changes training numerics.
 
 #include <atomic>
 #include <cmath>
@@ -19,10 +19,8 @@
 #include "common/string_util.h"
 #include "core/trainer.h"
 #include "distance/pairwise.h"
-#include "obs/flight_recorder.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "test_util.h"
 
 namespace neutraj::obs {
@@ -214,108 +212,6 @@ TEST(MetricsConcurrencyTest, TotalsAreExactUnderContention) {
   EXPECT_EQ(snap.max_micros(), 3.0);
 }
 
-// -- Tracing -----------------------------------------------------------------
-
-void RunCoarseSpan() { NEUTRAJ_TRACE_SPAN("obs_test/coarse"); }
-void RunFineSpan() { NEUTRAJ_TRACE_FINE_SPAN("obs_test/fine"); }
-
-uint64_t SpanCount(const char* metric) {
-  return MetricsRegistry::Global().GetHistogram(metric).count();
-}
-
-TEST(TraceTest, SpansRecordOnlyAtTheirLevel) {
-  SetTraceLevel(TraceLevel::kOff);
-  const uint64_t coarse0 = SpanCount("trace/obs_test/coarse_us");
-  const uint64_t fine0 = SpanCount("trace/obs_test/fine_us");
-
-  // Off: neither span records.
-  RunCoarseSpan();
-  RunFineSpan();
-  EXPECT_EQ(SpanCount("trace/obs_test/coarse_us"), coarse0);
-  EXPECT_EQ(SpanCount("trace/obs_test/fine_us"), fine0);
-
-  // Coarse: NEUTRAJ_TRACE_SPAN records, the per-step FINE span stays silent.
-  SetTraceLevel(TraceLevel::kCoarse);
-  EXPECT_EQ(trace_level(), TraceLevel::kCoarse);
-  RunCoarseSpan();
-  RunFineSpan();
-  EXPECT_EQ(SpanCount("trace/obs_test/coarse_us"), coarse0 + 1);
-  EXPECT_EQ(SpanCount("trace/obs_test/fine_us"), fine0);
-
-  // Fine: both record.
-  SetTraceLevel(TraceLevel::kFine);
-  RunCoarseSpan();
-  RunFineSpan();
-  EXPECT_EQ(SpanCount("trace/obs_test/coarse_us"), coarse0 + 2);
-  EXPECT_EQ(SpanCount("trace/obs_test/fine_us"), fine0 + 1);
-
-  SetTraceLevel(TraceLevel::kOff);
-}
-
-TEST(TraceTest, LevelIsMirroredInTheRegistryGauge) {
-  SetTraceLevel(TraceLevel::kFine);
-  EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GetGauge("obs/trace_level").Value(),
-                   2.0);
-  SetTraceLevel(TraceLevel::kOff);
-  EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GetGauge("obs/trace_level").Value(),
-                   0.0);
-}
-
-TEST(TraceTest, FinishedSpansLandInTheFlightRecorder) {
-  FlightRecorder& rec = FlightRecorder::Global();
-  rec.Clear();
-  SetTraceLevel(TraceLevel::kCoarse);
-  RunCoarseSpan();
-  SetTraceLevel(TraceLevel::kOff);
-  const std::vector<FlightEvent> events = rec.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "obs_test/coarse");
-  EXPECT_TRUE(events[0].is_span);
-  EXPECT_GE(events[0].value, 0.0);
-  rec.Clear();
-}
-
-// -- Flight recorder ---------------------------------------------------------
-
-TEST(FlightRecorderTest, RingKeepsTheMostRecentEventsInOrder) {
-  FlightRecorder rec(/*capacity=*/4);
-  rec.RecordEvent("e1", 1.0);
-  rec.RecordEvent("e2", 2.0);
-  rec.RecordEvent("e3", 3.0);
-  EXPECT_EQ(rec.Snapshot().size(), 3u);  // Not yet wrapped: all retained.
-  rec.RecordSpan("s4", 4.0);
-  rec.RecordEvent("e5", 5.0);
-  rec.RecordEvent("e6", 6.0);
-
-  const std::vector<FlightEvent> events = rec.Snapshot();
-  ASSERT_EQ(events.size(), 4u);  // Capacity bound: e1, e2 overwritten.
-  EXPECT_STREQ(events[0].name, "e3");
-  EXPECT_STREQ(events[1].name, "s4");
-  EXPECT_TRUE(events[1].is_span);
-  EXPECT_STREQ(events[2].name, "e5");
-  EXPECT_STREQ(events[3].name, "e6");
-  EXPECT_EQ(events[3].value, 6.0);
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].t_seconds, events[i - 1].t_seconds);
-  }
-  EXPECT_EQ(rec.total_recorded(), 6u);
-}
-
-TEST(FlightRecorderTest, DumpTextListsEventsAndClearEmptiesIt) {
-  FlightRecorder rec(8);
-  EXPECT_TRUE(rec.DumpText().empty());
-  rec.RecordSpan("trainer/epoch", 1500.0);
-  rec.RecordEvent("trainer/watchdog_rollback", 3.0);
-  const std::string dump = rec.DumpText();
-  EXPECT_NE(dump.find("trainer/epoch"), std::string::npos);
-  EXPECT_NE(dump.find("span"), std::string::npos);
-  EXPECT_NE(dump.find("trainer/watchdog_rollback"), std::string::npos);
-  EXPECT_NE(dump.find("event"), std::string::npos);
-  rec.Clear();
-  EXPECT_TRUE(rec.DumpText().empty());
-  EXPECT_EQ(rec.total_recorded(), 0u);
-}
-
 // -- Prometheus rendering ----------------------------------------------------
 
 TEST(PrometheusTest, NameSanitization) {
@@ -407,14 +303,27 @@ NeuTrajConfig ObsTinyConfig() {
   return cfg;
 }
 
-TEST(ObsTrainingTest, JsonlSinkGetsOneEpochLineAndNumericsAreUnchanged) {
+struct TinyTrainingSet {
+  std::vector<Trajectory> corpus;
+  DistanceMatrix d;
+  Grid grid;
+};
+
+TinyTrainingSet MakeTinyTrainingSet() {
   Rng rng(97);
-  const std::vector<Trajectory> corpus =
+  std::vector<Trajectory> corpus =
       neutraj::testing::RandomCorpus(10, 5, 9, 200.0, &rng);
-  const DistanceMatrix d = ComputePairwiseDistances(corpus, Measure::kFrechet);
+  DistanceMatrix d = ComputePairwiseDistances(corpus, Measure::kFrechet);
   BoundingBox region = BoundingBox::Empty();
   for (const Trajectory& t : corpus) region.Extend(t.Bounds());
-  const Grid grid(region.Inflated(10.0), 50.0);
+  return {std::move(corpus), std::move(d), Grid(region.Inflated(10.0), 50.0)};
+}
+
+TEST(ObsTrainingTest, JsonlSinkGetsOneEpochLineAndNumericsAreUnchanged) {
+  const TinyTrainingSet set = MakeTinyTrainingSet();
+  const std::vector<Trajectory>& corpus = set.corpus;
+  const DistanceMatrix& d = set.d;
+  const Grid& grid = set.grid;
   const NeuTrajConfig cfg = ObsTinyConfig();
 
   // Run once without telemetry, once with the JSONL sink attached: losses
@@ -463,6 +372,30 @@ TEST(ObsTrainingTest, JsonlSinkGetsOneEpochLineAndNumericsAreUnchanged) {
   EXPECT_GT(last.sam_attention_entropy, 0.0)
       << "SAM read-attention entropy should be positive once memory fills";
   std::remove(path.c_str());
+}
+
+// -- Always-on span sites ----------------------------------------------------
+
+uint64_t GlobalSamples(const char* metric) {
+  return MetricsRegistry::Global().GetHistogram(metric).count();
+}
+
+TEST(SpanSiteTest, TrainRecordsOneEpochSamplePerEpochAndBackwardSpans) {
+  const TinyTrainingSet set = MakeTinyTrainingSet();
+  Trainer trainer(ObsTinyConfig(), set.grid, set.corpus, set.d);  // 2 epochs.
+  const uint64_t epochs0 = GlobalSamples("trace/trainer/epoch_us");
+  const uint64_t backward0 = GlobalSamples("trace/nn/backward_us");
+  trainer.Train();
+  EXPECT_EQ(GlobalSamples("trace/trainer/epoch_us") - epochs0, 2u);
+  EXPECT_GT(GlobalSamples("trace/nn/backward_us") - backward0, 0u);
+}
+
+TEST(SpanSiteTest, EmbedAllRecordsOneEncodeSamplePerTrajectory) {
+  const TinyTrainingSet set = MakeTinyTrainingSet();
+  Trainer trainer(ObsTinyConfig(), set.grid, set.corpus, set.d);
+  const uint64_t encodes0 = GlobalSamples("trace/nn/encode_us");
+  trainer.model().EmbedAll(set.corpus);
+  EXPECT_EQ(GlobalSamples("trace/nn/encode_us") - encodes0, set.corpus.size());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for request-scoped tracing (src/obs/reqtrace.{h,cc}): the span
-// buffer's lock-free recording and overflow bound, StageSpan RAII, the
+// buffer's lock-free recording and overflow bound, StageSpan RAII and its
+// one-interval histogram + trace recording, the
 // tracer's sampling gate (client-forced vs 1-in-N vs off), the finished
 // ring + Dump ordering, the slow-query JSONL golden line, tail-latency
 // attribution gauges, and the Chrome trace_event renderer.
@@ -95,7 +96,8 @@ TEST(RequestTraceTest, ConcurrentRecordClaimsDistinctSlots) {
 
 TEST(StageSpanTest, NullTraceIsInertAndStopIsIdempotent) {
   {
-    StageSpan inert(nullptr, "scan");  // Must not crash or record.
+    // Null trace and no histogram: reads no clock, records nothing.
+    StageSpan inert(nullptr, "scan");
     inert.Stop();
   }
   auto trace = std::make_shared<RequestTrace>(TraceContext{9, true}, "topk");
@@ -112,6 +114,32 @@ TEST(StageSpanTest, NullTraceIsInertAndStopIsIdempotent) {
   ASSERT_EQ(dump[0].spans.size(), 1u);
   EXPECT_EQ(dump[0].spans[0].stage, "probe");
   EXPECT_GE(dump[0].spans[0].dur_us, 0.0);
+}
+
+TEST(StageSpanTest, HistogramOnlyAddsExactlyOneSample) {
+  ConcurrentHistogram hist;
+  {
+    StageSpan span(nullptr, "nn/encode", &hist);
+    span.Stop();
+  }  // Destructor after Stop() must not record again.
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_GE(hist.Snapshot().sum_micros(), 0.0);
+}
+
+TEST(StageSpanTest, TraceAndHistogramRecordTheSameInterval) {
+  ConcurrentHistogram hist;
+  auto trace = std::make_shared<RequestTrace>(TraceContext{11, true}, "topk");
+  { StageSpan span(trace.get(), "probe", &hist); }
+  MetricsRegistry reg;
+  RequestTracer tracer(&reg);
+  tracer.Finish(trace);
+  const std::vector<FinishedTrace> dump = tracer.Dump();
+  ASSERT_EQ(dump.size(), 1u);
+  ASSERT_EQ(dump[0].spans.size(), 1u);
+  // One clock interval feeds both sinks, so the fresh histogram's sum is
+  // the span's duration to the last bit.
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_EQ(hist.Snapshot().sum_micros(), dump[0].spans[0].dur_us);
 }
 
 // -- Sampling gate -----------------------------------------------------------

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -27,6 +28,8 @@
 #include "core/embedding_db.h"
 #include "core/search.h"
 #include "nn/matrix.h"
+#include "obs/metrics.h"
+#include "obs/reqtrace.h"
 #include "retrieval/backend.h"
 #include "retrieval/ivf_index.h"
 #include "retrieval/kernels.h"
@@ -323,6 +326,34 @@ TEST(BackendTest, IvfWithFullProbeIsBitIdenticalToExact) {
     EXPECT_EQ(g.ids, e.ids);
     EXPECT_EQ(g.dists, e.dists);  // Bit-identical, not approximately equal.
   }
+}
+
+TEST(BackendTest, IvfTracedTopKRecordsOneIntervalPerStage) {
+  // The probe and rerank histograms and the request trace are fed by the
+  // same StageSpan, so on a fresh registry each histogram's sum is exactly
+  // the traced span's duration.
+  const auto rows = ClusteredRows(900, 10, 69);
+  const EmbeddingDatabase db = FlatDb(rows);
+  obs::MetricsRegistry reg;
+  IvfBackend ivf(&db, SmallIvfOptions(), &reg);
+  ivf.Build();
+  auto trace =
+      std::make_shared<obs::RequestTrace>(obs::TraceContext{5, true}, "topk");
+  ivf.TopK(GaussianRows(1, 70).front(), 10, -1, 0, trace.get());
+  obs::MetricsRegistry tracer_reg;
+  obs::RequestTracer tracer(&tracer_reg);
+  tracer.Finish(trace);
+  const std::vector<obs::FinishedTrace> dump = tracer.Dump();
+  ASSERT_EQ(dump.size(), 1u);
+  ASSERT_EQ(dump[0].spans.size(), 2u);
+  for (const obs::FinishedSpan& span : dump[0].spans) {
+    const obs::LatencyHistogram hist =
+        reg.GetHistogram("retrieval/" + span.stage + "_us").Snapshot();
+    EXPECT_EQ(hist.count(), 1u) << span.stage;
+    EXPECT_EQ(hist.sum_micros(), span.dur_us) << span.stage;
+  }
+  EXPECT_EQ(dump[0].spans[0].stage, "probe");
+  EXPECT_EQ(dump[0].spans[1].stage, "rerank");
 }
 
 TEST(BackendTest, IvfScoresAreExactRegardlessOfRecall) {

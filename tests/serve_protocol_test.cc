@@ -1256,7 +1256,7 @@ TEST(EmbeddingDbServeTest, ModelInsertMatchesDirectEmbed) {
 // -- Serving stats -----------------------------------------------------------
 
 TEST(LatencyHistogramTest, BucketsMeanMaxAndPercentiles) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   EXPECT_EQ(h.PercentileMicros(0.5), 0.0);
   for (int i = 0; i < 90; ++i) h.Record(3.0);    // Bucket (2, 4].
   for (int i = 0; i < 10; ++i) h.Record(100.0);  // Bucket (64, 128].

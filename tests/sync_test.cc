@@ -161,8 +161,8 @@ TEST(LockRankTest, AscendingAcquisitionPassesAndTracksDepth) {
 }
 
 TEST(LockRankTest, UnrankedMutexesSkipBookkeeping) {
-  // The FlightRecorder pattern: a default-constructed Mutex participates in
-  // neither ordering nor depth, in any interleaving with ranked locks.
+  // A default-constructed Mutex participates in neither ordering nor depth,
+  // in any interleaving with ranked locks.
   Mutex unranked;
   Mutex ranked(lock_rank::kDb);
   MutexLock l1(ranked);

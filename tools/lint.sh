@@ -17,14 +17,14 @@
 #      cannot land untested.
 #   5. No raw stderr/stdout telemetry in src/core, src/nn, src/serve: ad-hoc
 #      printf debugging does not survive review. Telemetry flows through
-#      src/obs/ (metrics registry, trace spans, JSONL sink); the only
-#      sanctioned stderr paths are common/check.cc's contract-failure
-#      reporting and the flight recorder's crash dump. The same rule bans
-#      ad-hoc std::chrono timing in src/serve and src/retrieval: request
-#      timing flows through Stopwatch / DeadlineAfterMicros / SleepForMillis
-#      (common/stopwatch.h) and the obs span types, so every measurement a
-#      request sees also lands in its trace — a raw steady_clock::now() pair
-#      is latency the span tree cannot attribute.
+#      src/obs/ (metrics registry, StageSpan, JSONL sink); the only
+#      sanctioned stderr path is common/check.cc's contract-failure
+#      reporting. The same rule bans ad-hoc std::chrono timing in
+#      src/serve and src/retrieval: request timing flows through
+#      Stopwatch / DeadlineAfterMicros / SleepForMillis (common/stopwatch.h)
+#      and obs::StageSpan, so every measurement a request sees also lands
+#      in its trace — a raw steady_clock::now() pair is latency the span
+#      tree cannot attribute.
 #   6. No raw POSIX I/O in src/store outside store/file.cc: every durability
 #      write must flow through the File/FileFactory seam so the fault
 #      harness can intercept it and so short writes / EINTR are handled in
@@ -104,7 +104,7 @@ if [[ -n "$hits" ]]; then
 fi
 # Ad-hoc std::chrono timing in the serving/retrieval layers: all request
 # timing goes through common/stopwatch.h (Stopwatch, DeadlineAfterMicros,
-# SleepForMillis) or the obs span types so the trace spans see it too.
+# SleepForMillis) or obs::StageSpan so the trace spans see it too.
 hits=$(grep -rnE 'std::chrono|steady_clock|high_resolution_clock' \
     src/serve/ src/retrieval/ --include='*.cc' --include='*.h' \
     | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)

@@ -154,13 +154,6 @@ int CmdTrain(const Args& args) {
               MeasureName(cfg.measure).c_str(), cfg.embedding_dim,
               cfg.scan_width, cfg.epochs);
 
-  // --trace turns on coarse spans (trainer/epoch, nn/encode, nn/backward);
-  // the collected timing histograms are printed in Prometheus text format
-  // after training so a run can be profiled without a scraper.
-  if (args.Has("trace")) {
-    obs::SetTraceLevel(obs::TraceLevel::kCoarse);
-  }
-
   Stopwatch sw;
   DistanceMatrix d = ComputePairwiseDistances(split.seeds, cfg.measure);
   std::printf("seed distances: %.1fs\n", sw.ElapsedSeconds());
@@ -203,6 +196,9 @@ int CmdTrain(const Args& args) {
   if (metrics != nullptr) {
     std::printf("epoch telemetry written to %s\n", metrics->path().c_str());
   }
+  // --trace prints the global registry, including the always-on span
+  // histograms (trace/trainer/epoch_us, trace/nn/encode_us,
+  // trace/nn/backward_us), so a run can be profiled without a scraper.
   if (args.Has("trace")) {
     std::printf("--- collected metrics (Prometheus text format) ---\n%s",
                 obs::RenderPrometheus(obs::MetricsRegistry::Global().Snapshot())

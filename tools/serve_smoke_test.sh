@@ -27,7 +27,10 @@ done
 echo "== generate + train a tiny model =="
 "${CLI}" generate --preset porto --scale 0.05 --seed 7 --out "${WORK}/corpus.csv"
 "${CLI}" train --data "${WORK}/corpus.csv" --epochs 2 --dim 16 \
-  --out "${WORK}/model.ntj"
+  --out "${WORK}/model.ntj" --trace | tee "${WORK}/train.out"
+# The always-on spans: one epoch sample per epoch, encodes recorded.
+grep -q "^neutraj_trace_trainer_epoch_us_count 2$" "${WORK}/train.out"
+grep -q "^neutraj_trace_nn_encode_us_count " "${WORK}/train.out"
 
 echo "== start server =="
 "${SERVER}" --model "${WORK}/model.ntj" --data "${WORK}/corpus.csv" \
