@@ -10,12 +10,12 @@
 // the detected hardware_concurrency alongside every timing for context.
 //
 // The request-tracing section measures the per-request span-tree cost at
-// the micro-batcher level (the hot serving path): blocking Encode calls
-// with no RequestTrace attached versus a live trace on EVERY request —
-// two clock reads plus two lock-free slot claims per request (queue_wait
-// + encode spans), the worst case the 1-in-N sampler ever pays. Gated at
-// <= 2% even for this always-sampled ceiling; the serving-level gates
-// (off vs baseline, 1-in-64) live in bench_serving.
+// the micro-batcher level (the hot serving path): blocking one-item
+// SubmitBatch calls with no RequestTrace attached versus a live trace on
+// EVERY request — two clock reads plus two lock-free slot claims per
+// request (queue_wait + encode spans), the worst case the 1-in-N sampler
+// ever pays. Gated at <= 2% even for this always-sampled ceiling; the
+// serving-level gates (off vs baseline, 1-in-64) live in bench_serving.
 
 #include <algorithm>
 #include <cstdio>
@@ -223,9 +223,9 @@ ReqTraceTiming BenchReqTrace() {
       for (const Trajectory& t : data.trajectories) {
         if (traced) {
           obs::RequestTrace trace({id++, /*sampled=*/true}, "encode");
-          batcher.Encode(t, &trace);
+          batcher.SubmitBatch({t}, {&trace}).get();
         } else {
-          batcher.Encode(t, nullptr);
+          batcher.SubmitBatch({t}, {nullptr}).get();
         }
       }
       best = std::min(best, sw.ElapsedSeconds());

@@ -1,59 +1,63 @@
 // Serving benchmark: micro-batched encoding throughput over the wire, the
-// durable-ack insert tax, and million-scale retrieval.
+// request-tracing overhead, the durable-ack insert tax, and million-scale
+// retrieval.
 //
-// Phases 1-2 start a real loopback server twice against the same model +
-// corpus:
+// Phase 1 starts four real loopback servers against the same model +
+// corpus and times them in the same interleaved rounds — after a warm-up
+// pass each, every round runs a fixed number of passes per server, the
+// first server rotating — so every comparison reads per-server medians
+// over one measurement, with the min-max spread recorded:
 //   - unbatched baseline: max_batch=1, no straggler window, one sequential
 //     client issuing single Encode requests back to back — the
 //     one-request-at-a-time cost every serving stack starts from;
-//   - batched: max_batch=32 with a 200us straggler window and 8 concurrent
+//   - batched: max_batch=64 with a 200us straggler window and 8 concurrent
 //     clients driving the pipelined EncodeMany path, so bursts coalesce
-//     into real batches.
-// Trajectories are kept short so the per-request transport + dispatch
-// overhead — the cost micro-batching amortizes — is visible next to the
-// O(L d^2) encode compute; that ratio, not raw model speed, is what this
-// benchmark tracks. Each phase also reports the server-side p50/p99 encode
-// latency from the endpoint histogram snapshot.
+//     into real batches;
+//   - trace-off: the batched configuration again. It must be within 1% of
+//     batched — the same configuration, so this bounds the sampler's fast
+//     path, one branch per request, at the measurement noise floor;
+//   - trace-1/64: the batched configuration with 1-in-64 head sampling,
+//     within 2% of trace-off.
+// The tracing overheads are recorded signed: a leg that beats its baseline
+// reads negative, which shows the noise the bounds sit in. Trajectories
+// are kept short so the per-request transport + dispatch overhead — the
+// cost micro-batching amortizes — is visible next to the O(L d^2) encode
+// compute; that ratio, not raw model speed, is what this benchmark tracks.
+// Each server also reports its p50/p99 encode latency from the endpoint
+// histogram snapshot. The phase also pins that served bytes are
+// bit-identical with a sampled trace context attached versus none: the
+// serialized replies to the same query must match byte for byte.
 //
-// Phase 3 measures the durable-ack insert tax: the same embedding sequence
+// Phase 2 measures the durable-ack insert tax: the same embedding sequence
 // appended to a plain in-memory EmbeddingDatabase versus through
 // DurableStore (WAL append + fsync before ack). The encode step is excluded
 // on purpose — it would dominate and hide the durability cost this phase
 // exists to track.
 //
-// Phase 4 is the retrieval subsystem at the scale it was built for: a
+// Phase 3 is the retrieval subsystem at the scale it was built for: a
 // seeded, clustered 1M x dim-8 synthetic corpus queried two ways —
 //   - exact: the flat EmbeddingDatabase O(N * d) scan (the baseline and the
 //     ground truth for recall);
 //   - ivf: IvfBackend — IVF probe over the int8 quantized tier, then exact
 //     float re-rank, so scores match the exact path and only recall is
 //     approximate.
-// The two legs are timed interleaved (exact, ivf, exact, ivf, ... over the
-// same queries) so machine drift lands on both alike. Reports each leg's
-// median qps with its min-max spread and pooled per-query p50/p99, plus
-// recall@10 for the ANN path, and records the knobs (nlist, nprobe,
-// rerank, seed, kernel) next to the numbers in BENCH_serving.json.
+// The two legs are timed interleaved over the same queries, the first leg
+// alternating round by round, so machine drift lands on both alike.
+// Reports each leg's median qps with its min-max spread and pooled
+// per-query p50/p99, plus recall@10 for the ANN path, and records the
+// knobs (nlist, nprobe, rerank, seed, kernel) next to the numbers in
+// BENCH_serving.json.
 //
-// Phase 5 is the request-tracing overhead gate: the batched phase re-run
-// with the tracer configured off and again with 1-in-64 head sampling.
-// Tracing off must cost <= 1% against the phase-2 baseline (the same
-// configuration — this bounds the sampler's fast path, one branch per
-// request, at the measurement noise floor) and 1-in-64 sampling <= 2%.
-// The overheads are recorded signed: a re-run that beats its baseline
-// reads negative, which shows the noise the bounds sit in.
-// The phase also pins that served bytes are bit-identical with a sampled
-// trace context attached versus none: the serialized replies to the same
-// query must match byte for byte.
-//
-// Exit status is the acceptance gate: batched >= 2x unbatched, IVF+int8
-// >= 10x exact-scan median qps at recall@10 >= 0.95, tracing overhead within
-// budget, and traced/untraced served bytes identical.
+// Exit status is the acceptance gate: batched >= 2x unbatched, tracing
+// overhead within budget, traced/untraced served bytes identical, and
+// IVF+int8 >= 10x exact-scan median qps at recall@10 >= 0.95.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,14 +71,13 @@ using namespace neutraj;
 
 constexpr size_t kEmbeddingDim = 8;
 constexpr size_t kMaxTrajLen = 4;
-constexpr size_t kPhaseRepeats = 5;  ///< Best-of, after one warm-up run.
 const size_t kServerThreads =
     std::max<size_t>(1, std::thread::hardware_concurrency());
 constexpr size_t kConcurrentClients = 8;
 constexpr size_t kBurstSize = 64;
 constexpr size_t kBurstsPerClient = 16;
 
-// Phase 4 (retrieval) shape: a clustered corpus — the regime IVF exists
+// Phase 3 (retrieval) shape: a clustered corpus — the regime IVF exists
 // for — with queries drawn as small perturbations of corpus rows, the way
 // trajectory-similarity queries sit near the embedding manifold.
 constexpr size_t kRetrievalCorpus = 1000000;
@@ -87,23 +90,83 @@ constexpr size_t kRetrievalK = 10;
 constexpr size_t kRetrievalRounds = 5;  ///< Interleaved rounds per leg.
 static_assert(kRetrievalRounds % 2 == 1, "the median is the middle round");
 
+// Phase 1 (serving) shape: each round times this many passes per server
+// (~0.02-0.04 s each on 4 cores).
+constexpr size_t kServingRounds = 15;
+constexpr size_t kServingPassesPerRound = 8;
+static_assert(kServingRounds % 2 == 1, "the median is the middle round");
+
+struct LatencyStats {
+  double median_qps = 0.0;
+  double min_qps = 0.0;  ///< Spread of the per-round qps.
+  double max_qps = 0.0;
+  double p50_micros = 0.0;
+  double p99_micros = 0.0;
+};
+
+/// Nearest-rank percentile of `micros` (q in (0, 1]).
+double Percentile(std::vector<double> micros, double q) {
+  if (micros.empty()) return 0.0;
+  std::sort(micros.begin(), micros.end());
+  const size_t rank = static_cast<size_t>(
+      std::ceil(q * static_cast<double>(micros.size())));
+  return micros[std::min(micros.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
+
+/// Times each of `legs` over the same n operations, interleaved round by
+/// round after one warm-up pass each. The leg that goes first rotates every
+/// round, so drift in machine state and any first-mover cost land on all
+/// legs alike. qps is summarized per round (median and min-max); p50/p99
+/// pool the per-operation latencies of every round.
+std::vector<LatencyStats> MeasureInterleaved(
+    size_t n, size_t rounds,
+    const std::vector<std::function<void(size_t)>>& legs) {
+  std::vector<std::vector<double>> qps(legs.size());
+  std::vector<std::vector<double>> lat(legs.size());
+  for (const auto& run : legs) {
+    for (size_t i = 0; i < n; ++i) run(i);
+  }
+  for (size_t round = 0; round < rounds; ++round) {
+    for (size_t turn = 0; turn < legs.size(); ++turn) {
+      const size_t leg = (round + turn) % legs.size();
+      Stopwatch total;
+      for (size_t i = 0; i < n; ++i) {
+        Stopwatch sw;
+        legs[leg](i);
+        lat[leg].push_back(sw.ElapsedSeconds() * 1e6);
+      }
+      qps[leg].push_back(static_cast<double>(n) / total.ElapsedSeconds());
+    }
+  }
+  std::vector<LatencyStats> out(legs.size());
+  for (size_t leg = 0; leg < legs.size(); ++leg) {
+    std::sort(qps[leg].begin(), qps[leg].end());
+    out[leg].median_qps = qps[leg][qps[leg].size() / 2];
+    out[leg].min_qps = qps[leg].front();
+    out[leg].max_qps = qps[leg].back();
+    out[leg].p50_micros = Percentile(lat[leg], 0.5);
+    out[leg].p99_micros = Percentile(lat[leg], 0.99);
+  }
+  return out;
+}
+
 struct PhaseResult {
   std::string name;
   size_t clients = 0;
-  size_t requests = 0;
-  double seconds = 0.0;
-  double qps = 0.0;
+  size_t requests = 0;    ///< Per pass.
+  double seconds = 0.0;   ///< Per pass, at the median qps.
+  double qps = 0.0;       ///< Median over rounds.
+  double min_qps = 0.0;   ///< Spread over rounds.
+  double max_qps = 0.0;
   double mean_batch = 0.0;
   uint64_t batches = 0;
   double p50_micros = 0.0;  ///< Server-side encode endpoint latency.
   double p99_micros = 0.0;
 };
 
-/// Runs one serving phase: spins up a server with the given batching
-/// options, hammers it with `clients` threads, and tears it down.
+/// One timed pass: `clients` threads, each issuing its share of requests.
 /// Pipelined clients send EncodeMany bursts; sequential clients send one
 /// Encode at a time.
-/// One timed pass: `clients` threads, each issuing its share of requests.
 double TimedPass(const std::vector<Trajectory>& corpus, uint16_t port,
                  size_t clients, bool pipelined) {
   Stopwatch sw;
@@ -134,57 +197,76 @@ double TimedPass(const std::vector<Trajectory>& corpus, uint16_t port,
   return sw.ElapsedSeconds();
 }
 
-PhaseResult RunPhase(const std::string& name, const NeuTrajModel& model,
-                     EmbeddingDatabase* db,
-                     const std::vector<Trajectory>& corpus, size_t clients,
-                     bool pipelined,
-                     const serve::MicroBatcher::Options& batch_opts,
-                     uint32_t trace_sample_every = 0) {
-  serve::QueryService service(model, db, batch_opts);
-  if (trace_sample_every > 0) {
-    obs::ReqTraceOptions topts;
-    topts.sample_every = trace_sample_every;
-    service.ConfigureTracing(topts);
-  }
-  serve::Server server(&service, serve::ServerOptions{});
-  server.Start();
-  const uint16_t port = server.port();
+/// One serving configuration: its own server, driven by `clients` threads.
+struct ServingLeg {
+  const char* name;
+  serve::MicroBatcher::Options batch;
+  size_t clients;
+  bool pipelined;
+  uint32_t trace_sample_every;  ///< 0 = tracer off.
+};
 
-  const size_t total = clients * kBurstSize * kBurstsPerClient;
-  // Warm-up pass (connections, allocator, branch history), then best-of-N
-  // timed passes: short loopback runs are scheduler-noisy, and the minimum
-  // is the usual way to strip that noise from a throughput figure.
-  TimedPass(corpus, port, clients, pipelined);
-  double best = TimedPass(corpus, port, clients, pipelined);
-  for (size_t rep = 1; rep < kPhaseRepeats; ++rep) {
-    best = std::min(best, TimedPass(corpus, port, clients, pipelined));
-  }
-
-  const serve::StatsSnapshot snap = service.Snapshot();
-  server.Stop();
-
-  PhaseResult r;
-  r.name = name;
-  r.clients = clients;
-  r.requests = total;
-  r.seconds = best;
-  r.qps = static_cast<double>(total) / best;
-  r.mean_batch = snap.mean_batch_size;
-  r.batches = snap.batches;
-  // The encode endpoint histogram spans warm-up + all passes — it is a
-  // latency distribution, where best-of would make no sense anyway.
-  for (const serve::EndpointSnapshot& es : snap.endpoints) {
-    if (es.name == "encode") {
-      r.p50_micros = es.p50_micros;
-      r.p99_micros = es.p99_micros;
+/// Starts one server per leg, then times all of them in the same
+/// interleaved rounds (MeasureInterleaved: a warm-up pass each, the first
+/// leg rotating), so every serving comparison reads one measurement.
+/// qps is the per-round median with its min-max spread; p50/p99 come from
+/// each server's encode endpoint histogram over warm-up and all rounds.
+std::vector<PhaseResult> RunServingLegs(const NeuTrajModel& model,
+                                        EmbeddingDatabase* db,
+                                        const std::vector<Trajectory>& corpus,
+                                        const std::vector<ServingLeg>& legs) {
+  std::vector<std::unique_ptr<serve::QueryService>> services;
+  std::vector<std::unique_ptr<serve::Server>> servers;
+  std::vector<std::function<void(size_t)>> passes;
+  for (const ServingLeg& leg : legs) {
+    services.push_back(
+        std::make_unique<serve::QueryService>(model, db, leg.batch));
+    if (leg.trace_sample_every > 0) {
+      obs::ReqTraceOptions topts;
+      topts.sample_every = leg.trace_sample_every;
+      services.back()->ConfigureTracing(topts);
     }
+    servers.push_back(std::make_unique<serve::Server>(services.back().get(),
+                                                      serve::ServerOptions{}));
+    servers.back()->Start();
+    passes.push_back([&corpus, &leg, port = servers.back()->port()](size_t) {
+      TimedPass(corpus, port, leg.clients, leg.pipelined);
+    });
   }
-  std::printf("  %-10s %zu clients  %5zu reqs  %6.3fs  %8.1f qps  "
-              "p50 %.0fus  p99 %.0fus  (mean batch %.2f over %llu batches)\n",
-              r.name.c_str(), r.clients, r.requests, r.seconds, r.qps,
-              r.p50_micros, r.p99_micros, r.mean_batch,
-              static_cast<unsigned long long>(r.batches));
-  return r;
+  const std::vector<LatencyStats> timed =
+      MeasureInterleaved(kServingPassesPerRound, kServingRounds, passes);
+
+  std::vector<PhaseResult> out;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    const serve::StatsSnapshot snap = services[i]->Snapshot();
+    servers[i]->Stop();
+    PhaseResult r;
+    r.name = legs[i].name;
+    r.clients = legs[i].clients;
+    r.requests = r.clients * kBurstSize * kBurstsPerClient;
+    // A leg's operation is one pass: scale passes/s to requests/s.
+    const auto per_pass = static_cast<double>(r.requests);
+    r.qps = timed[i].median_qps * per_pass;
+    r.min_qps = timed[i].min_qps * per_pass;
+    r.max_qps = timed[i].max_qps * per_pass;
+    r.seconds = per_pass / r.qps;
+    r.mean_batch = snap.mean_batch_size;
+    r.batches = snap.batches;
+    for (const serve::EndpointSnapshot& es : snap.endpoints) {
+      if (es.name == "encode") {
+        r.p50_micros = es.p50_micros;
+        r.p99_micros = es.p99_micros;
+      }
+    }
+    std::printf("  %-10s %zu clients  %5zu reqs  %8.1f qps [%.1f, %.1f]  "
+                "p50 %.0fus  p99 %.0fus  (mean batch %.2f over %llu "
+                "batches)\n",
+                r.name.c_str(), r.clients, r.requests, r.qps, r.min_qps,
+                r.max_qps, r.p50_micros, r.p99_micros, r.mean_batch,
+                static_cast<unsigned long long>(r.batches));
+    out.push_back(r);
+  }
+  return out;
 }
 
 struct InsertResult {
@@ -194,7 +276,7 @@ struct InsertResult {
   double overhead = 0.0;  ///< plain_qps / durable_qps (>= 1: the ack tax).
 };
 
-/// Phase 3: durable-ack insert overhead, measured without the encode step.
+/// Phase 2: durable-ack insert overhead, measured without the encode step.
 InsertResult RunInsertPhase(const EmbeddingDatabase& source) {
   constexpr size_t kDurableInserts = 1000;
   std::vector<nn::Vector> rows;
@@ -235,15 +317,7 @@ InsertResult RunInsertPhase(const EmbeddingDatabase& source) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 4: million-scale retrieval.
-
-struct LatencyStats {
-  double median_qps = 0.0;
-  double min_qps = 0.0;  ///< Spread of the per-round qps.
-  double max_qps = 0.0;
-  double p50_micros = 0.0;
-  double p99_micros = 0.0;
-};
+// Phase 3: million-scale retrieval.
 
 struct RetrievalResult {
   retrieval::IvfIndex::Options ivf;  ///< Knobs, recorded with the numbers.
@@ -253,53 +327,6 @@ struct RetrievalResult {
   double recall = 0.0;       ///< recall@kRetrievalK vs the exact scan.
   double ivf_speedup = 0.0;  ///< ivf median qps / exact median qps.
 };
-
-/// Nearest-rank percentile of `micros` (q in (0, 1]).
-double Percentile(std::vector<double> micros, double q) {
-  if (micros.empty()) return 0.0;
-  std::sort(micros.begin(), micros.end());
-  const size_t rank = static_cast<size_t>(
-      std::ceil(q * static_cast<double>(micros.size())));
-  return micros[std::min(micros.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-/// Times two query legs over the same n queries, interleaved round by
-/// round (a, b, a, b, ...) after one warm-up pass each, so drift in machine
-/// state lands on both legs alike. qps is summarized per round (median and
-/// min-max); p50/p99 pool the per-query latencies of every round.
-void MeasureInterleaved(size_t n, const std::function<void(size_t)>& run_a,
-                        const std::function<void(size_t)>& run_b,
-                        LatencyStats* a, LatencyStats* b) {
-  struct Leg {
-    const std::function<void(size_t)>* run;
-    LatencyStats* out;
-    std::vector<double> qps;
-    std::vector<double> lat;
-  };
-  Leg legs[] = {{&run_a, a, {}, {}}, {&run_b, b, {}, {}}};
-  for (Leg& leg : legs) {
-    for (size_t i = 0; i < n; ++i) (*leg.run)(i);
-  }
-  for (size_t round = 0; round < kRetrievalRounds; ++round) {
-    for (Leg& leg : legs) {
-      Stopwatch total;
-      for (size_t i = 0; i < n; ++i) {
-        Stopwatch sw;
-        (*leg.run)(i);
-        leg.lat.push_back(sw.ElapsedSeconds() * 1e6);
-      }
-      leg.qps.push_back(static_cast<double>(n) / total.ElapsedSeconds());
-    }
-  }
-  for (Leg& leg : legs) {
-    std::sort(leg.qps.begin(), leg.qps.end());
-    leg.out->median_qps = leg.qps[leg.qps.size() / 2];
-    leg.out->min_qps = leg.qps.front();
-    leg.out->max_qps = leg.qps.back();
-    leg.out->p50_micros = Percentile(leg.lat, 0.5);
-    leg.out->p99_micros = Percentile(leg.lat, 0.99);
-  }
-}
 
 RetrievalResult RunRetrievalPhase() {
   RetrievalResult r;
@@ -370,11 +397,12 @@ RetrievalResult RunRetrievalPhase() {
   r.recall = static_cast<double>(hits) /
              static_cast<double>(kRetrievalQueries * kRetrievalK);
 
-  MeasureInterleaved(
-      kRetrievalQueries,
-      [&](size_t i) { exact_db.TopK(queries[i], kRetrievalK); },
-      [&](size_t i) { ivf.TopK(queries[i], kRetrievalK, -1, 0); }, &r.exact,
-      &r.ivf_stats);
+  const std::vector<LatencyStats> legs = MeasureInterleaved(
+      kRetrievalQueries, kRetrievalRounds,
+      {[&](size_t i) { exact_db.TopK(queries[i], kRetrievalK); },
+       [&](size_t i) { ivf.TopK(queries[i], kRetrievalK, -1, 0); }});
+  r.exact = legs[0];
+  r.ivf_stats = legs[1];
   r.ivf_speedup = r.ivf_stats.median_qps / r.exact.median_qps;
   std::printf("  exact    %8.1f qps [%.1f, %.1f]  p50 %.0fus  p99 %.0fus  "
               "(flat O(N*d) scan)\n",
@@ -416,44 +444,27 @@ int main() {
   std::printf("corpus: %zu trajectories (mean length %.1f, d=%zu)\n\n",
               data.size(), data.MeanLength(), db.dim());
 
-  std::printf("[1/5] unbatched baseline (batch=1, 1 sequential client)\n");
+  std::printf("[1/3] serving (batched: batch=%zu, wait=200us, %zu "
+              "pipelined clients; %zu interleaved rounds)\n",
+              kBurstSize, kConcurrentClients, kServingRounds);
   serve::MicroBatcher::Options unbatched;
   unbatched.threads = kServerThreads;
   unbatched.max_batch = 1;
   unbatched.max_wait_micros = 0;
-  const PhaseResult base =
-      RunPhase("unbatched", model, &db, data.trajectories, 1,
-               /*pipelined=*/false, unbatched);
-
-  std::printf("[2/5] micro-batched (batch=%zu, wait=200us, %zu pipelined "
-              "clients)\n",
-              kBurstSize, kConcurrentClients);
   serve::MicroBatcher::Options batched;
   batched.threads = kServerThreads;
   batched.max_batch = kBurstSize;
   batched.max_wait_micros = 200;
-  const PhaseResult fast =
-      RunPhase("batched", model, &db, data.trajectories, kConcurrentClients,
-               /*pipelined=*/true, batched);
-
-  std::printf("[3/5] durable-ack insert overhead (WAL fsync before ack)\n");
-  const InsertResult ins = RunInsertPhase(db);
-
-  std::printf("[4/5] million-scale retrieval (%zu rows, d=%zu, %zu queries, "
-              "k=%zu)\n",
-              kRetrievalCorpus, kEmbeddingDim, kRetrievalQueries, kRetrievalK);
-  const RetrievalResult ret = RunRetrievalPhase();
-
-  std::printf("[5/5] request-tracing overhead (batched phase re-run)\n");
-  const PhaseResult trace_off =
-      RunPhase("trace-off", model, &db, data.trajectories,
-               kConcurrentClients, /*pipelined=*/true, batched);
-  const PhaseResult trace_sampled =
-      RunPhase("trace-1/64", model, &db, data.trajectories,
-               kConcurrentClients, /*pipelined=*/true, batched,
-               /*trace_sample_every=*/64);
-  const double off_overhead = fast.qps / trace_off.qps - 1.0;
-  const double sampled_overhead = trace_off.qps / trace_sampled.qps - 1.0;
+  const std::vector<PhaseResult> serving =
+      RunServingLegs(model, &db, data.trajectories,
+                     {{"unbatched", unbatched, 1, /*pipelined=*/false, 0},
+                      {"batched", batched, kConcurrentClients, true, 0},
+                      {"trace-off", batched, kConcurrentClients, true, 0},
+                      {"trace-1/64", batched, kConcurrentClients, true, 64}});
+  const PhaseResult& base = serving[0];
+  const PhaseResult& fast = serving[1];
+  const double off_overhead = fast.qps / serving[2].qps - 1.0;
+  const double sampled_overhead = serving[2].qps / serving[3].qps - 1.0;
 
   // Served-bytes identity: the same query answered with a sampled trace
   // context and with none must serialize to the same reply bytes.
@@ -482,12 +493,18 @@ int main() {
     traced.Close();
     server.Stop();
   }
-  std::printf("  trace-off  %8.1f qps  (%.2f%% vs batched baseline)\n",
-              trace_off.qps, off_overhead * 100.0);
-  std::printf("  trace-1/64 %8.1f qps  (%.2f%% vs trace-off)  "
-              "served bytes identical: %s\n",
-              trace_sampled.qps, sampled_overhead * 100.0,
+  std::printf("  trace-off %.2f%% vs batched, trace-1/64 %.2f%% vs "
+              "trace-off  served bytes identical: %s\n",
+              off_overhead * 100.0, sampled_overhead * 100.0,
               served_identical ? "yes" : "NO");
+
+  std::printf("[2/3] durable-ack insert overhead (WAL fsync before ack)\n");
+  const InsertResult ins = RunInsertPhase(db);
+
+  std::printf("[3/3] million-scale retrieval (%zu rows, d=%zu, %zu queries, "
+              "k=%zu)\n",
+              kRetrievalCorpus, kEmbeddingDim, kRetrievalQueries, kRetrievalK);
+  const RetrievalResult ret = RunRetrievalPhase();
 
   const double speedup = fast.qps / base.qps;
   std::printf("\nbatched/unbatched throughput: %.2fx\n", speedup);
@@ -503,27 +520,29 @@ int main() {
                std::thread::hardware_concurrency());
   std::fprintf(f,
                "  \"corpus_size\": %zu,\n  \"embedding_dim\": %zu,\n"
-               "  \"server_threads\": %zu,\n  \"phases\": [\n",
-               data.size(), db.dim(), kServerThreads);
-  const PhaseResult* phases[] = {&base, &fast};
-  for (size_t i = 0; i < 2; ++i) {
-    const PhaseResult& r = *phases[i];
+               "  \"server_threads\": %zu,\n  \"serving_rounds\": %zu,\n"
+               "  \"phases\": [\n",
+               data.size(), db.dim(), kServerThreads, kServingRounds);
+  for (size_t i = 0; i < serving.size(); ++i) {
+    const PhaseResult& r = serving[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"clients\": %zu, \"requests\": %zu, "
-                 "\"seconds\": %.4f, \"qps\": %.1f, \"p50_micros\": %.1f, "
+                 "\"seconds\": %.4f, \"qps\": %.1f, \"min_qps\": %.1f, "
+                 "\"max_qps\": %.1f, \"p50_micros\": %.1f, "
                  "\"p99_micros\": %.1f, \"mean_batch\": %.3f, "
                  "\"batches\": %llu}%s\n",
                  r.name.c_str(), r.clients, r.requests, r.seconds, r.qps,
-                 r.p50_micros, r.p99_micros, r.mean_batch,
+                 r.min_qps, r.max_qps, r.p50_micros, r.p99_micros,
+                 r.mean_batch,
                  static_cast<unsigned long long>(r.batches),
-                 i == 0 ? "," : "");
+                 i + 1 < serving.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"speedup\": %.3f,\n", speedup);
   std::fprintf(f,
                "  \"tracing\": {\"off_qps\": %.1f, \"sampled64_qps\": %.1f, "
                "\"off_overhead\": %.4f, \"sampled64_overhead\": %.4f, "
                "\"served_bytes_identical\": %s},\n",
-               trace_off.qps, trace_sampled.qps, off_overhead,
+               serving[2].qps, serving[3].qps, off_overhead,
                sampled_overhead, served_identical ? "true" : "false");
   std::fprintf(f,
                "  \"durable_inserts\": %zu,\n  \"insert_plain_qps\": %.1f,\n"

@@ -1,28 +1,25 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/string_util.h"
 
 namespace neutraj::obs {
 
-namespace {
-
-size_t BucketFor(double micros) {
-  const double m = std::max(0.0, micros);
+size_t LatencyHistogram::BucketFor(double micros) {
   // Bucket 0 is [0, 1] µs inclusive (zeros and sub-µs samples are real:
-  // timer resolution, no-op fast paths); bucket i >= 1 is (2^(i-1), 2^i] µs.
-  // Everything above the last bound lands in the final bucket.
-  size_t b = 0;
-  while (b + 1 < LatencyHistogram::kNumBuckets &&
-         m > LatencyHistogram::BucketUpperMicros(b)) {
-    ++b;
-  }
-  return b;
+  // timer resolution, no-op fast paths); bucket i >= 1 is (2^(i-1), 2^i] µs,
+  // which is the bit width of ceil(m) - 1. Clamping to the last bound
+  // before the cast keeps it in range and sends everything above (and +inf)
+  // to the final bucket; NaN and negatives clamp to 0, so bucket 0.
+  const double m =
+      std::min(std::max(0.0, micros), BucketUpperMicros(kNumBuckets - 1));
+  const auto c = static_cast<uint64_t>(std::max(std::ceil(m), 1.0));
+  return std::min<size_t>(std::bit_width(c - 1), kNumBuckets - 1);
 }
-
-}  // namespace
 
 void LatencyHistogram::Record(double micros) {
   const double m = std::max(0.0, micros);
@@ -61,8 +58,8 @@ double LatencyHistogram::PercentileMicros(double p) const {
 
 void ConcurrentHistogram::Record(double micros) {
   const double m = std::max(0.0, micros);
-  buckets_[BucketFor(m)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  buckets_[LatencyHistogram::BucketFor(m)].fetch_add(
+      1, std::memory_order_relaxed);
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + m, std::memory_order_relaxed)) {
   }
@@ -72,6 +69,12 @@ void ConcurrentHistogram::Record(double micros) {
   }
 }
 
+uint64_t ConcurrentHistogram::count() const {
+  uint64_t total = 0;
+  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+  return total;
+}
+
 LatencyHistogram ConcurrentHistogram::Snapshot() const {
   LatencyHistogram out;
   uint64_t total = 0;
@@ -79,7 +82,7 @@ LatencyHistogram ConcurrentHistogram::Snapshot() const {
     out.buckets_[b] = buckets_[b].load(std::memory_order_relaxed);
     total += out.buckets_[b];
   }
-  out.count_ = total;  // Bucket-consistent, may trail the live counter.
+  out.count_ = total;
   out.sum_ = sum_.load(std::memory_order_relaxed);
   out.max_ = max_.load(std::memory_order_relaxed);
   return out;

@@ -69,6 +69,9 @@ class LatencyHistogram {
 
   const std::array<uint64_t, kNumBuckets>& buckets() const { return buckets_; }
 
+  /// The bucket a sample of `micros` lands in, in O(1).
+  static size_t BucketFor(double micros);
+
   /// Inclusive upper bound of bucket `b` in µs (1, 2, 4, ...).
   static double BucketUpperMicros(size_t b) {
     return static_cast<double>(1ull << b);
@@ -112,24 +115,24 @@ class Gauge {
 };
 
 /// Thread-safe recording histogram: same bucket layout as LatencyHistogram,
-/// all counters atomic. Record is lock-free (bucket increment + count + CAS
-/// sum/max); Snapshot copies into a plain LatencyHistogram. Bucket counts
-/// and the total are exact under any interleaving; the float sum is exact
-/// for integer-valued samples and order-dependent only in rounding
-/// otherwise.
+/// all counters atomic. Record is lock-free (one bucket increment + CAS
+/// sum/max); the count is the sum of the buckets. Snapshot copies into a
+/// plain LatencyHistogram. Bucket counts and the total are exact under any
+/// interleaving; the float sum is exact for integer-valued samples and
+/// order-dependent only in rounding otherwise.
 class ConcurrentHistogram {
  public:
   void Record(double micros);
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Sums the buckets: a read-side cost, so Record stays one increment.
+  uint64_t count() const;
 
-  /// Consistent-enough copy for reporting: buckets may trail count by
-  /// in-flight records, which is harmless for telemetry.
+  /// Consistent-enough copy for reporting: sum and max may trail the
+  /// buckets by in-flight records, which is harmless for telemetry.
   LatencyHistogram Snapshot() const;
 
  private:
   std::array<std::atomic<uint64_t>, LatencyHistogram::kNumBuckets> buckets_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> max_{0.0};
 };

@@ -113,9 +113,10 @@ class Client {
   nn::Vector Encode(const Trajectory& traj);
 
   /// Pipelined bulk encode: sends every request in one write, then reads
-  /// the replies in order. The server dispatches the whole burst to its
-  /// micro-batcher before replying, so one EncodeMany call can fill a
-  /// batch by itself — this is the high-throughput encoding path. Results
+  /// the replies in order. The server answers every frame it has buffered
+  /// as one burst, which reaches its micro-batcher as one group, so one
+  /// EncodeMany call can fill a batch by itself — this is the
+  /// high-throughput encoding path. Results
   /// match per-call Encode() exactly. If any item failed server-side, the
   /// first failure is thrown (as ServeError) after all replies have been
   /// consumed, leaving the connection usable.

@@ -67,18 +67,6 @@ std::future<MicroBatcher::BatchResult> MicroBatcher::SubmitBatch(
   return fut;
 }
 
-nn::Vector MicroBatcher::Encode(const Trajectory& traj,
-                                obs::RequestTrace* trace) {
-  std::vector<Trajectory> one;
-  one.push_back(traj);
-  BatchResult r = SubmitBatch(std::move(one), {trace}).get();
-  if (!r.errors[0].empty()) {
-    if (r.bad_input[0] != 0) throw std::invalid_argument(r.errors[0]);
-    throw std::runtime_error(r.errors[0]);
-  }
-  return std::move(r.embeddings[0]);
-}
-
 void MicroBatcher::Shutdown() {
   {
     MutexLock lock(mu_);

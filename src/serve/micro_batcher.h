@@ -100,11 +100,6 @@ class MicroBatcher {
       std::vector<Trajectory> trajs,
       std::vector<obs::RequestTrace*> traces = {}) NEUTRAJ_EXCLUDES(mu_);
 
-  /// Submit-one + wait: the blocking form used by simple handlers. Per-item
-  /// failure is rethrown (std::invalid_argument for bad input).
-  nn::Vector Encode(const Trajectory& traj,
-                    obs::RequestTrace* trace = nullptr) NEUTRAJ_EXCLUDES(mu_);
-
   /// Stops accepting work, finishes everything queued, joins the batcher
   /// thread. Idempotent; also run by the destructor.
   void Shutdown() NEUTRAJ_EXCLUDES(mu_, join_mu_);

@@ -10,7 +10,7 @@
 
 #include <cerrno>
 #include <csignal>
-#include <optional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -245,63 +245,27 @@ void Server::ConnectionLoop(int fd) {
   char chunk[64 * 1024];
   bool open = true;
   while (open) {
-    // Drain every complete frame already buffered before reading more.
-    // Encode requests in the burst are collected and dispatched to the
-    // micro-batcher as ONE group before any frame is answered, so a
-    // pipelined client fills a batch from a single connection; replies
-    // keep request order and go out as one write.
-    struct Slot {
-      bool is_encode = false;
-      size_t encode_index = 0;  ///< Into the group, when is_encode.
-      WireFrame request;        ///< Deferred to Handle(), when !is_encode.
-      /// Live trace of a sampled request; the reply span and Finish happen
-      /// here, after the socket write.
-      std::shared_ptr<obs::RequestTrace> trace;
-      double reply_start_us = 0.0;
-    };
-    std::vector<Slot> burst;
-    std::vector<Trajectory> group;
-    std::vector<std::shared_ptr<obs::RequestTrace>> group_traces;
+    // Answer every complete frame already buffered before reading more, as
+    // one burst: the service sends all of its encodes to the micro-batcher
+    // as ONE group, so a pipelined client fills a batch from a single
+    // connection; replies keep request order and go out as one write.
+    std::vector<WireFrame> burst;
     FrameStatus stream_status = FrameStatus::kIncomplete;
     while (true) {
       WireFrame request;
       stream_status =
           DecodeWireFrame(buf, &offset, &request, opts_.max_frame_payload);
       if (stream_status != FrameStatus::kOk) break;
-      Slot slot;
-      if (service_->CollectEncode(request, &group, &group_traces)) {
-        slot.is_encode = true;
-        slot.encode_index = group.size() - 1;
-      } else {
-        slot.request = std::move(request);
-      }
-      burst.push_back(std::move(slot));
+      burst.push_back(std::move(request));
     }
-    // Dispatch the encode group first: other handlers in the burst (TopK,
-    // Insert, PairSim) block on their own embeddings and would otherwise
-    // delay the group past the straggler window.
-    auto pending =
-        service_->BeginEncodes(std::move(group), std::move(group_traces));
+    // Live traces of sampled requests; the reply span and Finish happen
+    // here, after the socket write.
+    std::vector<std::shared_ptr<obs::RequestTrace>> traces;
+    const std::vector<WireFrame> replies =
+        service_->HandleBurst(std::move(burst), &traces);
     std::string out;
-    std::vector<WireFrame> encode_replies;
-    std::vector<std::shared_ptr<obs::RequestTrace>> encode_traces;
-    if (pending.has_value()) {
-      // Traces outlive FinishEncodes (which consumes the PendingEncodes):
-      // the batcher has already recorded into them by the time the future
-      // resolves, and the reply span is still to come.
-      encode_traces = std::move(pending->traces);
-      encode_replies = service_->FinishEncodes(std::move(*pending));
-    }
-    for (Slot& slot : burst) {
-      if (slot.is_encode) {
-        slot.trace = std::move(encode_traces[slot.encode_index]);
-      }
-    }
     bool oversize = false;
-    for (Slot& slot : burst) {
-      const WireFrame reply = slot.is_encode
-                                  ? std::move(encode_replies[slot.encode_index])
-                                  : service_->Handle(slot.request, &slot.trace);
+    for (const WireFrame& reply : replies) {
       out += EncodeReplyFrame(reply, &oversize);
       // Dropping the rest of the burst is fine: the connection is closed
       // below, so the peer sees the error frame and then EOF.
@@ -316,17 +280,16 @@ void Server::ConnectionLoop(int fd) {
     }
     // Reply spans bracket the burst's single socket write. Start marks are
     // per trace (each trace's clock began at its own Begin).
-    for (Slot& slot : burst) {
-      if (slot.trace != nullptr) {
-        slot.reply_start_us = slot.trace->ElapsedMicros();
-      }
+    std::vector<double> reply_start_us(traces.size(), 0.0);
+    for (size_t i = 0; i < traces.size(); ++i) {
+      if (traces[i] != nullptr) reply_start_us[i] = traces[i]->ElapsedMicros();
     }
     if (!out.empty() && !SendAll(fd, out)) open = false;
-    for (Slot& slot : burst) {
-      if (slot.trace == nullptr) continue;
-      slot.trace->Record("reply", slot.reply_start_us,
-                         slot.trace->ElapsedMicros() - slot.reply_start_us);
-      service_->tracer().Finish(slot.trace);
+    for (size_t i = 0; i < traces.size(); ++i) {
+      if (traces[i] == nullptr) continue;
+      traces[i]->Record("reply", reply_start_us[i],
+                        traces[i]->ElapsedMicros() - reply_start_us[i]);
+      service_->tracer().Finish(traces[i]);
     }
     if (hard_error || oversize || !open) break;
     if (offset > 0) {

@@ -3,10 +3,11 @@
 // Dependency-free TCP serving: an accept thread plus one handler thread
 // per connection (serving-scale fan-in is bounded by `max_connections`).
 // Each connection reads length-prefixed wire frames (common/framing.h),
-// dispatches complete frames through QueryService::Handle, and writes the
-// response frame back. Frame-level failures (bad magic/version, oversized
-// declaration, CRC mismatch) get a typed kError reply and a disconnect —
-// after a framing error the byte stream cannot be trusted to resync.
+// answers every complete frame buffered so far as one burst through
+// QueryService::HandleBurst, and writes the replies back in one write.
+// Frame-level failures (bad magic/version, oversized declaration, CRC
+// mismatch) get a typed kError reply and a disconnect — after a framing
+// error the byte stream cannot be trusted to resync.
 //
 // Shutdown: RequestStop() is async-signal-safe (one write to a self-pipe),
 // so InstallStopSignalHandlers wires SIGTERM/SIGINT straight to it. The

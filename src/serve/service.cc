@@ -1,10 +1,12 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <exception>
-#include <future>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "core/similarity.h"
 
 namespace neutraj::serve {
@@ -32,6 +34,30 @@ void CheckTrajectory(const Trajectory& t, const char* what) {
   if (t.empty()) {
     throw std::invalid_argument(std::string(what) + " is empty");
   }
+}
+
+/// Runs one pass of a request's handling, mapping an escaping exception to
+/// its kError reply: std::invalid_argument is the request's fault
+/// (kBadRequest), anything else the server's (kInternal).
+template <typename Fn>
+auto Guarded(Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::invalid_argument& e) {
+    return ErrorFrame(ErrorCode::kBadRequest, e.what());
+  } catch (const std::exception& e) {
+    return ErrorFrame(ErrorCode::kInternal, e.what());
+  }
+}
+
+/// Item `i` of a batcher group's result; rethrows its failure with the
+/// type Guarded maps to the right error code.
+nn::Vector& Embedded(MicroBatcher::BatchResult* r, size_t i) {
+  if (!r->errors[i].empty()) {
+    if (r->bad_input[i] != 0) throw std::invalid_argument(r->errors[i]);
+    throw std::runtime_error(r->errors[i]);
+  }
+  return r->embeddings[i];
 }
 
 /// The batcher must register into the service's own registry, whatever the
@@ -69,70 +95,6 @@ WireFrame QueryService::FrameErrorReply(FrameStatus status) {
   return ErrorFrame(code, std::string("frame error: ") + FrameStatusName(status));
 }
 
-bool QueryService::CollectEncode(
-    const WireFrame& request, std::vector<Trajectory>* group,
-    std::vector<std::shared_ptr<obs::RequestTrace>>* traces) {
-  if (static_cast<MsgType>(request.type) != MsgType::kEncodeRequest ||
-      draining_.load()) {
-    return false;
-  }
-  EncodeRequest req;
-  if (!ParseEncodeRequest(request.payload, &req) || req.traj.empty()) {
-    return false;  // Handle() will build the precise error reply.
-  }
-  group->push_back(std::move(req.traj));
-  if (traces != nullptr) {
-    traces->push_back(tracer_.Begin(req.trace, "encode"));
-  }
-  return true;
-}
-
-std::optional<QueryService::PendingEncodes> QueryService::BeginEncodes(
-    std::vector<Trajectory> group,
-    std::vector<std::shared_ptr<obs::RequestTrace>> traces) {
-  if (group.empty()) return std::nullopt;
-  PendingEncodes pending;
-  pending.count = group.size();
-  traces.resize(pending.count);
-  std::vector<obs::RequestTrace*> raw;
-  raw.reserve(pending.count);
-  for (const auto& t : traces) raw.push_back(t.get());
-  pending.traces = std::move(traces);
-  pending.fut = batcher_.SubmitBatch(std::move(group), std::move(raw));
-  return pending;
-}
-
-std::vector<WireFrame> QueryService::FinishEncodes(PendingEncodes pending) {
-  std::vector<WireFrame> replies;
-  replies.reserve(pending.count);
-  MicroBatcher::BatchResult result;
-  std::string group_error;
-  try {
-    result = pending.fut.get();
-  } catch (const std::exception& e) {
-    group_error = e.what();  // Unreachable in practice; fail every slot.
-  }
-  const double micros = pending.sw.ElapsedMillis() * 1e3;
-  for (size_t i = 0; i < pending.count; ++i) {
-    if (!group_error.empty()) {
-      replies.push_back(ErrorFrame(ErrorCode::kInternal, group_error));
-    } else if (!result.errors[i].empty()) {
-      replies.push_back(ErrorFrame(result.bad_input[i] != 0
-                                       ? ErrorCode::kBadRequest
-                                       : ErrorCode::kInternal,
-                                   result.errors[i]));
-    } else {
-      EncodeResponse resp;
-      resp.embedding = std::move(result.embeddings[i]);
-      replies.push_back(
-          Reply(MsgType::kEncodeResponse, SerializeEncodeResponse(resp)));
-    }
-    stats_.Record(Endpoint::kEncode, micros,
-                  replies.back().type == static_cast<uint16_t>(MsgType::kError));
-  }
-  return replies;
-}
-
 StatsSnapshot QueryService::Snapshot() const {
   StatsSnapshot snap = stats_.Snapshot();
   snap.corpus_size = db_->size();
@@ -145,38 +107,195 @@ StatsSnapshot QueryService::Snapshot() const {
   return snap;
 }
 
-WireFrame QueryService::Handle(const WireFrame& request,
-                               std::shared_ptr<obs::RequestTrace>* trace_out) {
-  Stopwatch sw;
-  Endpoint endpoint = Endpoint::kCount;
+/// One request of a burst between the two passes.
+struct QueryService::Slot {
+  Endpoint endpoint = Endpoint::kCount;  ///< kCount: unknown type, no stats.
   std::shared_ptr<obs::RequestTrace> trace;
-  WireFrame reply;
-  try {
-    reply = Dispatch(request, &endpoint, &trace);
-  } catch (const std::invalid_argument& e) {
-    reply = ErrorFrame(ErrorCode::kBadRequest, e.what());
-  } catch (const std::exception& e) {
-    reply = ErrorFrame(ErrorCode::kInternal, e.what());
+  bool answered = false;
+  size_t first = 0;  ///< Index of its first trajectory in the burst's group.
+  TopKRequest topk;  ///< TopK's k, exclude and nprobe (the query is moved).
+};
+
+std::vector<WireFrame> QueryService::HandleBurst(
+    std::vector<WireFrame> requests,
+    std::vector<std::shared_ptr<obs::RequestTrace>>* traces_out) {
+  const Stopwatch sw;
+  const size_t n = requests.size();
+  std::vector<Slot> slots(n);
+  std::vector<WireFrame> replies(n);
+  auto answer = [&](size_t i, WireFrame reply) {
+    Slot& slot = slots[i];
+    slot.answered = true;
+    if (slot.endpoint != Endpoint::kCount) {
+      stats_.Record(slot.endpoint, sw.ElapsedMicros(),
+                    reply.type == static_cast<uint16_t>(MsgType::kError));
+    }
+    if (traces_out == nullptr) tracer_.Finish(slot.trace);
+    replies[i] = std::move(reply);
+  };
+
+  // Pass 1: admit in request order; every trajectory joins one group.
+  std::vector<Trajectory> group;
+  std::vector<obs::RequestTrace*> group_traces;
+  for (size_t i = 0; i < n; ++i) {
+    Slot& slot = slots[i];
+    slot.first = group.size();
+    std::optional<WireFrame> refused =
+        Guarded([&] { return Admit(requests[i], &slot, &group); });
+    if (refused.has_value()) answer(i, std::move(*refused));
+    group_traces.resize(group.size(), slot.trace.get());
   }
-  if (endpoint != Endpoint::kCount) {
-    const bool is_error =
-        reply.type == static_cast<uint16_t>(MsgType::kError);
-    stats_.Record(endpoint, sw.ElapsedMillis() * 1e3, is_error);
+
+  MicroBatcher::BatchResult embedded;
+  if (!group.empty()) {
+    const size_t m = group.size();
+    try {
+      embedded =
+          batcher_.SubmitBatch(std::move(group), std::move(group_traces))
+              .get();
+    } catch (const std::exception& e) {
+      // Submit after batcher shutdown: every item fails, each in its slot.
+      embedded.embeddings.assign(m, nn::Vector());
+      embedded.errors.assign(m, e.what());
+      embedded.bad_input.assign(m, 0);
+    }
   }
-  if (trace_out != nullptr) {
-    *trace_out = std::move(trace);  // Transport adds the reply span.
-  } else {
-    tracer_.Finish(trace);  // Socketless caller: finalize without one.
+
+  // Pass 2: answer in request order, so later requests see earlier inserts.
+  for (size_t i = 0; i < n; ++i) {
+    if (slots[i].answered) continue;
+    answer(i, Guarded([&] {
+             return Answer(requests[i], &slots[i], &embedded);
+           }));
   }
-  return reply;
+  if (traces_out != nullptr) {
+    traces_out->clear();
+    for (Slot& slot : slots) traces_out->push_back(std::move(slot.trace));
+  }
+  return replies;
 }
 
-WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
-                                 std::shared_ptr<obs::RequestTrace>* trace) {
+WireFrame QueryService::Handle(const WireFrame& request,
+                               std::shared_ptr<obs::RequestTrace>* trace_out) {
+  std::vector<WireFrame> burst;
+  burst.push_back(request);
+  std::vector<std::shared_ptr<obs::RequestTrace>> traces;
+  std::vector<WireFrame> replies =
+      HandleBurst(std::move(burst), trace_out != nullptr ? &traces : nullptr);
+  if (trace_out != nullptr) *trace_out = std::move(traces[0]);
+  return std::move(replies[0]);
+}
+
+std::optional<WireFrame> QueryService::Admit(const WireFrame& request,
+                                             Slot* slot,
+                                             std::vector<Trajectory>* group) {
   const auto type = static_cast<MsgType>(request.type);
   switch (type) {
-    case MsgType::kHealthRequest: {
-      *endpoint = Endpoint::kHealth;
+    // Read-only endpoints, answered at their turn in pass 2 and served
+    // while draining: a drain is exactly when the last traces are most
+    // interesting.
+    case MsgType::kHealthRequest:
+      slot->endpoint = Endpoint::kHealth;
+      return std::nullopt;
+    case MsgType::kStatsRequest:
+      slot->endpoint = Endpoint::kStats;
+      return std::nullopt;
+    case MsgType::kTraceDumpRequest:
+      slot->endpoint = Endpoint::kTraceDump;
+      return std::nullopt;
+
+    case MsgType::kEncodeRequest: {
+      slot->endpoint = Endpoint::kEncode;
+      if (draining_.load()) {
+        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
+      }
+      EncodeRequest req;
+      if (!ParseEncodeRequest(request.payload, &req)) {
+        return ErrorFrame(ErrorCode::kBadRequest, "malformed encode request");
+      }
+      slot->trace = tracer_.Begin(req.trace, "encode");
+      CheckTrajectory(req.traj, "trajectory");
+      group->push_back(std::move(req.traj));
+      return std::nullopt;
+    }
+
+    case MsgType::kPairSimRequest: {
+      slot->endpoint = Endpoint::kPairSim;
+      if (draining_.load()) {
+        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
+      }
+      PairSimRequest req;
+      if (!ParsePairSimRequest(request.payload, &req)) {
+        return ErrorFrame(ErrorCode::kBadRequest, "malformed pairsim request");
+      }
+      slot->trace = tracer_.Begin(req.trace, "pairsim");
+      CheckTrajectory(req.a, "trajectory a");
+      CheckTrajectory(req.b, "trajectory b");
+      // Both items record into the one request trace (two encode spans,
+      // possibly on two batcher threads).
+      group->push_back(std::move(req.a));
+      group->push_back(std::move(req.b));
+      return std::nullopt;
+    }
+
+    case MsgType::kTopKRequest: {
+      slot->endpoint = Endpoint::kTopK;
+      if (draining_.load()) {
+        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
+      }
+      TopKRequest& req = slot->topk;
+      if (!ParseTopKRequest(request.payload, &req)) {
+        return ErrorFrame(ErrorCode::kBadRequest, "malformed topk request");
+      }
+      slot->trace = tracer_.Begin(req.trace, "topk");
+      CheckTrajectory(req.query, "query trajectory");
+      if (req.k == 0) {
+        return ErrorFrame(ErrorCode::kBadRequest, "k must be >= 1");
+      }
+      if (req.k > kMaxTopKResults) req.k = kMaxTopKResults;
+      group->push_back(std::move(req.query));
+      return std::nullopt;
+    }
+
+    case MsgType::kInsertRequest: {
+      slot->endpoint = Endpoint::kInsert;
+      if (draining_.load()) {
+        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
+      }
+      InsertRequest req;
+      if (!ParseInsertRequest(request.payload, &req)) {
+        return ErrorFrame(ErrorCode::kBadRequest, "malformed insert request");
+      }
+      slot->trace = tracer_.Begin(req.trace, "insert");
+      CheckTrajectory(req.traj, "trajectory");
+      // A degraded store refuses before the (expensive) encode, not after.
+      if (store_ != nullptr && store_->read_only()) {
+        return ErrorFrame(ErrorCode::kDegraded,
+                          "store is read-only: " + store_->degraded_reason());
+      }
+      group->push_back(std::move(req.traj));
+      return std::nullopt;
+    }
+
+    case MsgType::kError:
+    case MsgType::kEncodeResponse:
+    case MsgType::kPairSimResponse:
+    case MsgType::kTopKResponse:
+    case MsgType::kInsertResponse:
+    case MsgType::kStatsResponse:
+    case MsgType::kHealthResponse:
+    case MsgType::kTraceDumpResponse:
+      break;
+  }
+  return ErrorFrame(ErrorCode::kUnknownType,
+                    "unknown request type " + std::to_string(request.type));
+}
+
+WireFrame QueryService::Answer(const WireFrame& request, Slot* slot,
+                               MicroBatcher::BatchResult* embedded) {
+  obs::RequestTrace* t = slot->trace.get();
+  switch (slot->endpoint) {
+    case Endpoint::kHealth: {
       HealthResponse resp;
       resp.ok = true;
       resp.corpus_size = db_->size();
@@ -188,108 +307,59 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       return Reply(MsgType::kHealthResponse, SerializeHealthResponse(resp));
     }
 
-    case MsgType::kStatsRequest: {
-      *endpoint = Endpoint::kStats;
+    case Endpoint::kStats: {
       StatsResponse resp;
       resp.stats = Snapshot();
       return Reply(MsgType::kStatsResponse, SerializeStatsResponse(resp));
     }
 
-    case MsgType::kEncodeRequest: {
-      *endpoint = Endpoint::kEncode;
-      if (draining_.load()) {
-        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
+    case Endpoint::kTraceDump: {
+      TraceDumpRequest req;
+      if (!ParseTraceDumpRequest(request.payload, &req)) {
+        return ErrorFrame(ErrorCode::kBadRequest,
+                          "malformed tracedump request");
       }
-      EncodeRequest req;
-      if (!ParseEncodeRequest(request.payload, &req)) {
-        return ErrorFrame(ErrorCode::kBadRequest, "malformed encode request");
-      }
-      *trace = tracer_.Begin(req.trace, "encode");
-      CheckTrajectory(req.traj, "trajectory");
+      // Cap the reply: at kMaxSpans spans of ~40 bytes a trace serializes
+      // to ~2 KB, so 512 traces stay far below kWireMaxPayload.
+      constexpr uint32_t kDefaultDump = 32;
+      constexpr uint32_t kMaxDump = 512;
+      const uint32_t want = req.max_traces == 0 ? kDefaultDump : req.max_traces;
+      TraceDumpResponse resp;
+      resp.traces = tracer_.Dump(std::min(want, kMaxDump));
+      return Reply(MsgType::kTraceDumpResponse,
+                   SerializeTraceDumpResponse(resp));
+    }
+
+    case Endpoint::kEncode: {
       EncodeResponse resp;
-      resp.embedding = batcher_.Encode(req.traj, trace->get());
+      resp.embedding = std::move(Embedded(embedded, slot->first));
       return Reply(MsgType::kEncodeResponse, SerializeEncodeResponse(resp));
     }
 
-    case MsgType::kPairSimRequest: {
-      *endpoint = Endpoint::kPairSim;
-      if (draining_.load()) {
-        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
-      }
-      PairSimRequest req;
-      if (!ParsePairSimRequest(request.payload, &req)) {
-        return ErrorFrame(ErrorCode::kBadRequest, "malformed pairsim request");
-      }
-      *trace = tracer_.Begin(req.trace, "pairsim");
-      CheckTrajectory(req.a, "trajectory a");
-      CheckTrajectory(req.b, "trajectory b");
-      // One two-item group: both trajectories share a batch (and one
-      // future) instead of paying two straggler windows. Both items record
-      // into the one request trace (two encode spans, possibly two threads).
-      std::vector<Trajectory> pair;
-      pair.reserve(2);
-      pair.push_back(std::move(req.a));
-      pair.push_back(std::move(req.b));
-      MicroBatcher::BatchResult r =
-          batcher_
-              .SubmitBatch(std::move(pair), {trace->get(), trace->get()})
-              .get();
-      for (size_t i = 0; i < 2; ++i) {
-        if (r.errors[i].empty()) continue;
-        if (r.bad_input[i] != 0) throw std::invalid_argument(r.errors[i]);
-        throw std::runtime_error(r.errors[i]);
-      }
+    case Endpoint::kPairSim: {
+      const nn::Vector& a = Embedded(embedded, slot->first);
+      const nn::Vector& b = Embedded(embedded, slot->first + 1);
       PairSimResponse resp;
-      resp.distance = EmbeddingDistance(r.embeddings[0], r.embeddings[1]);
-      resp.similarity = EmbeddingSimilarity(r.embeddings[0], r.embeddings[1]);
+      resp.distance = EmbeddingDistance(a, b);
+      resp.similarity = EmbeddingSimilarity(a, b);
       return Reply(MsgType::kPairSimResponse, SerializePairSimResponse(resp));
     }
 
-    case MsgType::kTopKRequest: {
-      *endpoint = Endpoint::kTopK;
-      if (draining_.load()) {
-        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
-      }
-      TopKRequest req;
-      if (!ParseTopKRequest(request.payload, &req)) {
-        return ErrorFrame(ErrorCode::kBadRequest, "malformed topk request");
-      }
-      *trace = tracer_.Begin(req.trace, "topk");
-      obs::RequestTrace* t = trace->get();
-      CheckTrajectory(req.query, "query trajectory");
-      if (req.k == 0) {
-        return ErrorFrame(ErrorCode::kBadRequest, "k must be >= 1");
-      }
-      if (req.k > kMaxTopKResults) req.k = kMaxTopKResults;
-      const nn::Vector query = batcher_.Encode(req.query, t);
+    case Endpoint::kTopK: {
+      const TopKRequest& req = slot->topk;
       // The backend owns the scan strategy; an ANN backend's exact re-rank
       // keeps scores bit-identical to the exact one.
       const SearchResult r =
-          backend_->TopK(query, req.k, req.exclude, req.nprobe, t);
+          backend_->TopK(Embedded(embedded, slot->first), req.k, req.exclude,
+                         req.nprobe, t);
       TopKResponse resp;
       resp.ids.assign(r.ids.begin(), r.ids.end());
       resp.dists = r.dists;
       return Reply(MsgType::kTopKResponse, SerializeTopKResponse(resp));
     }
 
-    case MsgType::kInsertRequest: {
-      *endpoint = Endpoint::kInsert;
-      if (draining_.load()) {
-        return ErrorFrame(ErrorCode::kShuttingDown, "server is draining");
-      }
-      InsertRequest req;
-      if (!ParseInsertRequest(request.payload, &req)) {
-        return ErrorFrame(ErrorCode::kBadRequest, "malformed insert request");
-      }
-      *trace = tracer_.Begin(req.trace, "insert");
-      obs::RequestTrace* t = trace->get();
-      CheckTrajectory(req.traj, "trajectory");
-      // A degraded store refuses before the (expensive) encode, not after.
-      if (store_ != nullptr && store_->read_only()) {
-        return ErrorFrame(ErrorCode::kDegraded,
-                          "store is read-only: " + store_->degraded_reason());
-      }
-      const nn::Vector embedding = batcher_.Encode(req.traj, t);
+    case Endpoint::kInsert: {
+      const nn::Vector& embedding = Embedded(embedded, slot->first);
       InsertResponse resp;
       if (store_ != nullptr) {
         try {
@@ -312,38 +382,10 @@ WireFrame QueryService::Dispatch(const WireFrame& request, Endpoint* endpoint,
       return Reply(MsgType::kInsertResponse, SerializeInsertResponse(resp));
     }
 
-    case MsgType::kTraceDumpRequest: {
-      *endpoint = Endpoint::kTraceDump;
-      // Read-only diagnostics, allowed while draining (like Stats/Health):
-      // a drain is exactly when the last traces are most interesting.
-      TraceDumpRequest req;
-      if (!ParseTraceDumpRequest(request.payload, &req)) {
-        return ErrorFrame(ErrorCode::kBadRequest,
-                          "malformed tracedump request");
-      }
-      // Cap the reply: at kMaxSpans spans of ~40 bytes a trace serializes
-      // to ~2 KB, so 512 traces stay far below kWireMaxPayload.
-      constexpr uint32_t kDefaultDump = 32;
-      constexpr uint32_t kMaxDump = 512;
-      const uint32_t want = req.max_traces == 0 ? kDefaultDump : req.max_traces;
-      TraceDumpResponse resp;
-      resp.traces = tracer_.Dump(std::min(want, kMaxDump));
-      return Reply(MsgType::kTraceDumpResponse,
-                   SerializeTraceDumpResponse(resp));
-    }
-
-    case MsgType::kError:
-    case MsgType::kEncodeResponse:
-    case MsgType::kPairSimResponse:
-    case MsgType::kTopKResponse:
-    case MsgType::kInsertResponse:
-    case MsgType::kStatsResponse:
-    case MsgType::kHealthResponse:
-    case MsgType::kTraceDumpResponse:
+    case Endpoint::kCount:
       break;
   }
-  return ErrorFrame(ErrorCode::kUnknownType,
-                    "unknown request type " + std::to_string(request.type));
+  throw std::logic_error("QueryService: answering an unadmitted request");
 }
 
 }  // namespace neutraj::serve

@@ -2,14 +2,17 @@
 //
 // QueryService is the socket-independent heart of src/serve/: it owns the
 // trained model, the live EmbeddingDatabase, the MicroBatcher, and the
-// ServerStats, and maps one request frame to one response frame. The
-// Server (server.h) feeds it frames read from sockets; tests feed it
-// frames directly — the protocol semantics are fully exercisable without
-// ever opening a socket.
+// ServerStats, and maps a burst of request frames to its reply frames. The
+// Server (server.h) feeds it the frames buffered on a socket; tests feed
+// it frames directly — the protocol semantics are fully exercisable
+// without ever opening a socket.
+// HandleBurst is the only request path (Handle is a one-frame burst), so
+// admission — draining, parse, validation — runs in one place for every
+// endpoint, and a pipelined burst of any endpoint mix is one batcher group.
 //
 // Locking discipline: encoding runs in the batcher with no corpus lock
 // held; EmbeddingDatabase takes its reader lock inside TopK and its writer
-// lock inside Insert. Handle() itself holds no lock across an encode, so
+// lock inside Insert. HandleBurst itself holds no lock across an encode, so
 // inserts never stall queries for the duration of an embedding.
 
 #ifndef NEUTRAJ_SERVE_SERVICE_H_
@@ -17,11 +20,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/framing.h"
-#include "common/stopwatch.h"
 #include "core/embedding_db.h"
 #include "core/model.h"
 #include "obs/metrics.h"
@@ -49,58 +52,37 @@ class QueryService {
                const MicroBatcher::Options& batch_opts,
                store::DurableStore* store = nullptr);
 
-  /// Maps one request frame to its response frame. Never throws: parse
-  /// failures, unknown types, and handler exceptions all become kError
-  /// replies. Thread-safe — called concurrently from connection handlers.
+  /// Answers a pipelined burst of request frames, one reply per request in
+  /// request order. Never throws: parse failures, unknown types and handler
+  /// exceptions all become kError replies in their own slot.
+  /// Thread-safe — called concurrently from connection handlers.
   ///
-  /// When this request is sampled for tracing, `trace_out` (if non-null)
-  /// receives the live trace so the transport can record the "reply" span
-  /// around the socket write and then call tracer().Finish(). With a null
-  /// `trace_out` (tests, socketless callers) the service finishes the trace
-  /// itself — no reply span, everything else identical.
+  /// Two passes. The first admits each request in order (draining, parse,
+  /// validation, degraded store) and collects every trajectory the burst
+  /// must embed — Encode, TopK and Insert one each, PairSim two — into ONE
+  /// micro-batcher group, so a burst costs one future and one straggler
+  /// window whatever its endpoints. The second builds the replies in
+  /// order, so a TopK placed after an Insert in the same burst sees it.
+  /// Each request's latency is measured from the start of the burst to the
+  /// moment its reply is built.
+  ///
+  /// `traces_out` (if non-null) receives one entry per request, nullptr
+  /// when unsampled, so the transport can record each "reply" span around
+  /// the socket write and then call tracer().Finish(). With a null
+  /// `traces_out` (tests, socketless callers) the service finishes each
+  /// trace itself as its reply is built — no reply span, everything else
+  /// identical.
+  std::vector<WireFrame> HandleBurst(
+      std::vector<WireFrame> requests,
+      std::vector<std::shared_ptr<obs::RequestTrace>>* traces_out = nullptr);
+
+  /// A one-frame HandleBurst; `trace_out` as HandleBurst's `traces_out`.
   WireFrame Handle(const WireFrame& request,
                    std::shared_ptr<obs::RequestTrace>* trace_out = nullptr);
 
   /// Convenience for frame-level failures discovered by the transport:
   /// builds the kError reply matching a FrameStatus.
   static WireFrame FrameErrorReply(FrameStatus status);
-
-  /// A group of Encode requests dispatched to the micro-batcher whose
-  /// replies have not been produced yet. Move-only.
-  struct PendingEncodes {
-    std::future<MicroBatcher::BatchResult> fut;
-    Stopwatch sw;  ///< Started at dispatch; FinishEncodes records latency.
-    size_t count = 0;
-    /// Parallel to the group (nullptr = unsampled). Keeps the traces alive
-    /// while batcher workers record into them; the transport moves these
-    /// out before FinishEncodes to add reply spans and finish them.
-    std::vector<std::shared_ptr<obs::RequestTrace>> traces;
-  };
-
-  /// Pipelining fast path, step 1: if `request` is a well-formed Encode
-  /// request and the service is accepting work, appends its trajectory to
-  /// *group and returns true. Returns false for every other frame (and
-  /// for malformed/draining cases, where Handle() produces the precise
-  /// error reply). `traces` (if non-null) gets one entry per collected
-  /// item — the sampling decision for that request, nullptr when unsampled
-  /// — so it stays index-aligned with *group.
-  bool CollectEncode(
-      const WireFrame& request, std::vector<Trajectory>* group,
-      std::vector<std::shared_ptr<obs::RequestTrace>>* traces = nullptr);
-
-  /// Step 2: dispatches a collected group to the batcher as one unit —
-  /// one future for the whole burst, so a pipelined connection fills a
-  /// batch by itself at per-group (not per-request) synchronization cost.
-  /// Returns nullopt for an empty group. `traces` must be empty or
-  /// index-aligned with `group` (CollectEncode's output).
-  std::optional<PendingEncodes> BeginEncodes(
-      std::vector<Trajectory> group,
-      std::vector<std::shared_ptr<obs::RequestTrace>> traces = {});
-
-  /// Step 3: waits for a dispatched group and builds one reply frame per
-  /// item, in submission order (kError on per-item failure). Never
-  /// throws; records Encode endpoint stats per item.
-  std::vector<WireFrame> FinishEncodes(PendingEncodes pending);
 
   /// While draining, every request except Health and Stats is refused with
   /// kShuttingDown so in-flight connections wind down crisply.
@@ -139,8 +121,16 @@ class QueryService {
   store::DurableStore* durable_store() { return store_; }
 
  private:
-  WireFrame Dispatch(const WireFrame& request, Endpoint* endpoint,
-                     std::shared_ptr<obs::RequestTrace>* trace);
+  struct Slot;
+  /// Pass 1 for one request: returns its reply when it is answered without
+  /// an embedding (refused, malformed) and otherwise appends the
+  /// trajectories it needs to `group`. Throws like a handler.
+  std::optional<WireFrame> Admit(const WireFrame& request, Slot* slot,
+                                 std::vector<Trajectory>* group);
+  /// Pass 2 for one admitted request: builds its reply from the group's
+  /// result. Throws like a handler.
+  WireFrame Answer(const WireFrame& request, Slot* slot,
+                   MicroBatcher::BatchResult* embedded);
 
   const NeuTrajModel& model_;
   EmbeddingDatabase* db_;

@@ -4,10 +4,12 @@
 // text renderer — plus an end-to-end check that training telemetry never
 // changes training numerics.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -72,6 +74,37 @@ TEST(LatencyHistogramTest, OverflowSamplesLandInTheLastBucket) {
       LatencyHistogram::BucketUpperMicros(LatencyHistogram::kNumBuckets - 1);
   EXPECT_EQ(h.PercentileMicros(0.5), 0.5 * (lower + upper));
   EXPECT_EQ(h.max_micros(), 1e12);
+}
+
+TEST(LatencyHistogramTest, BucketIndexMatchesTheLinearWalk) {
+  // The O(1) index must agree with the linear walk over the bucket upper
+  // bounds it replaced, on every bound, its one-ulp neighbours and the
+  // clamped extremes (NaN, like any negative, lands in bucket 0).
+  auto walk = [](double micros) {
+    const double m = std::max(0.0, micros);
+    size_t b = 0;
+    while (b + 1 < LatencyHistogram::kNumBuckets &&
+           m > LatencyHistogram::BucketUpperMicros(b)) {
+      ++b;
+    }
+    return b;
+  };
+  std::vector<double> samples = {0.0, 0.5, 1.0, -3.0, 1e300,
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN()};
+  for (size_t i = 0; i <= LatencyHistogram::kNumBuckets + 2; ++i) {
+    const double p = std::ldexp(1.0, static_cast<int>(i));
+    samples.push_back(p);
+    samples.push_back(std::nextafter(p, 0.0));
+    samples.push_back(std::nextafter(p, 1e308));
+  }
+  for (const double m : samples) {
+    EXPECT_EQ(LatencyHistogram::BucketFor(m), walk(m)) << "micros " << m;
+  }
+  EXPECT_EQ(LatencyHistogram::BucketFor(
+                std::numeric_limits<double>::quiet_NaN()),
+            0u);
 }
 
 TEST(LatencyHistogramTest, PercentilesInterpolateInsteadOfSnappingToBucketTop) {

@@ -902,15 +902,6 @@ TEST(MicroBatcherTest, PerItemFailureDoesNotFailTheGroup) {
   EXPECT_EQ(r.embeddings[2], model.Embed(trajs[2]));
 }
 
-TEST(MicroBatcherTest, EncodeRethrowsBadInputAsInvalidArgument) {
-  const NeuTrajModel model = MakeModel();
-  MicroBatcher batcher(model, MicroBatcher::Options{});
-  EXPECT_THROW(batcher.Encode(Trajectory()), std::invalid_argument);
-  Rng rng(19);
-  const Trajectory good = RandomTrajectory(5, 100.0, &rng);
-  EXPECT_EQ(batcher.Encode(good), model.Embed(good));
-}
-
 TEST(MicroBatcherTest, EmptyGroupCompletesImmediately) {
   const NeuTrajModel model = MakeModel();
   MicroBatcher batcher(model, MicroBatcher::Options{});
@@ -1100,25 +1091,62 @@ TEST_F(ServiceTest, StatsCountRequestsAndErrors) {
   EXPECT_GT(encode.qps, 0.0);
 }
 
+/// One pipelined burst of every endpoint: Encode, TopK, PairSim, Insert,
+/// a TopK for the inserted trajectory, Health, a malformed Encode, an
+/// empty-trajectory TopK, TraceDump and Stats. The six well-formed work
+/// requests need six embeddings.
+std::vector<WireFrame> MixedBurst(const std::vector<Trajectory>& corpus,
+                                  const Trajectory& fresh) {
+  TopKRequest first;
+  first.query = corpus[3];
+  first.k = 4;
+  first.exclude = 3;
+  TopKRequest of_fresh;
+  of_fresh.query = fresh;
+  of_fresh.k = 1;
+  TopKRequest empty;
+  empty.k = 3;
+  return {
+      Req(MsgType::kEncodeRequest, SerializeEncodeRequest({corpus[0]})),
+      Req(MsgType::kTopKRequest, SerializeTopKRequest(first)),
+      Req(MsgType::kPairSimRequest,
+          SerializePairSimRequest({corpus[1], corpus[2]})),
+      Req(MsgType::kInsertRequest, SerializeInsertRequest({fresh})),
+      Req(MsgType::kTopKRequest, SerializeTopKRequest(of_fresh)),
+      Req(MsgType::kHealthRequest),
+      Req(MsgType::kEncodeRequest, "garbage"),
+      Req(MsgType::kTopKRequest, SerializeTopKRequest(empty)),
+      Req(MsgType::kTraceDumpRequest, SerializeTraceDumpRequest({})),
+      Req(MsgType::kStatsRequest),
+  };
+}
+
 TEST_F(ServiceTest, DrainingRefusesWorkButServesHealthAndStats) {
   svc_.SetDraining(true);
   Rng rng(43);
   const Trajectory t = RandomTrajectory(5, 100.0, &rng);
-  for (const auto& [type, payload] :
-       std::vector<std::pair<MsgType, std::string>>{
-           {MsgType::kEncodeRequest, SerializeEncodeRequest({t})},
-           {MsgType::kPairSimRequest, SerializePairSimRequest({t, t})},
-           {MsgType::kTopKRequest, SerializeTopKRequest({t, 3, -1})},
-           {MsgType::kInsertRequest, SerializeInsertRequest({t})}}) {
-    EXPECT_EQ(GetError(svc_.Handle(Req(type, payload))).code,
-              ErrorCode::kShuttingDown);
+  const std::vector<WireFrame> burst = MixedBurst(corpus_, t);
+  const std::vector<WireFrame> replies = svc_.HandleBurst(burst);
+  ASSERT_EQ(replies.size(), burst.size());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    switch (static_cast<MsgType>(burst[i].type)) {
+      case MsgType::kHealthRequest: {
+        HealthResponse health;
+        ASSERT_TRUE(ParseHealthResponse(replies[i].payload, &health));
+        EXPECT_EQ(health.status, "draining");
+        break;
+      }
+      case MsgType::kStatsRequest:
+      case MsgType::kTraceDumpRequest:
+        EXPECT_EQ(replies[i].type, burst[i].type + 1) << "reply " << i;
+        break;
+      default:  // Every work frame, malformed or not.
+        EXPECT_EQ(GetError(replies[i]).code, ErrorCode::kShuttingDown)
+            << "reply " << i;
+    }
   }
-  HealthResponse health;
-  const WireFrame hreply = svc_.Handle(Req(MsgType::kHealthRequest));
-  ASSERT_TRUE(ParseHealthResponse(hreply.payload, &health));
-  EXPECT_EQ(health.status, "draining");
-  EXPECT_EQ(svc_.Handle(Req(MsgType::kStatsRequest)).type,
-            static_cast<uint16_t>(MsgType::kStatsResponse));
+  EXPECT_EQ(svc_.batcher().stats().requests, 0u);
+  EXPECT_EQ(db_.size(), corpus_.size());
 
   svc_.SetDraining(false);
   EXPECT_EQ(svc_.Handle(Req(MsgType::kEncodeRequest,
@@ -1138,51 +1166,52 @@ TEST_F(ServiceTest, FrameErrorRepliesCarryTypedCodes) {
   }
 }
 
-TEST_F(ServiceTest, PipelinedEncodePathMatchesHandle) {
+TEST_F(ServiceTest, MixedBurstIsOneBatcherGroupAndMatchesOneAtATime) {
   Rng rng(47);
-  std::vector<Trajectory> trajs;
-  for (int i = 0; i < 5; ++i) {
-    trajs.push_back(RandomTrajectory(5, 100.0, &rng));
-  }
-  std::vector<Trajectory> group;
-  for (const Trajectory& t : trajs) {
-    EXPECT_TRUE(svc_.CollectEncode(
-        Req(MsgType::kEncodeRequest, SerializeEncodeRequest({t})), &group));
-  }
-  ASSERT_EQ(group.size(), trajs.size());
-  auto pending = svc_.BeginEncodes(std::move(group));
-  ASSERT_TRUE(pending.has_value());
-  const std::vector<WireFrame> replies =
-      svc_.FinishEncodes(std::move(*pending));
-  ASSERT_EQ(replies.size(), trajs.size());
-  for (size_t i = 0; i < trajs.size(); ++i) {
-    ASSERT_EQ(replies[i].type,
-              static_cast<uint16_t>(MsgType::kEncodeResponse));
-    EncodeResponse resp;
-    ASSERT_TRUE(ParseEncodeResponse(replies[i].payload, &resp));
-    EXPECT_EQ(resp.embedding, model_.Embed(trajs[i])) << "item " << i;
-  }
-}
+  const Trajectory fresh = RandomTrajectory(7, 100.0, &rng);
+  const std::vector<WireFrame> burst = MixedBurst(corpus_, fresh);
 
-TEST_F(ServiceTest, CollectEncodeDeclinesEverythingHandleMustAnswer) {
-  Rng rng(53);
-  const Trajectory t = RandomTrajectory(5, 100.0, &rng);
-  std::vector<Trajectory> group;
-  // Non-encode frames, malformed payloads, and empty trajectories fall
-  // through to Handle() for a precise reply.
-  EXPECT_FALSE(svc_.CollectEncode(
-      Req(MsgType::kTopKRequest, SerializeTopKRequest({t, 3, -1})), &group));
-  EXPECT_FALSE(
-      svc_.CollectEncode(Req(MsgType::kEncodeRequest, "garbage"), &group));
-  EXPECT_FALSE(svc_.CollectEncode(
-      Req(MsgType::kEncodeRequest, SerializeEncodeRequest({Trajectory()})),
-      &group));
-  svc_.SetDraining(true);
-  EXPECT_FALSE(svc_.CollectEncode(
-      Req(MsgType::kEncodeRequest, SerializeEncodeRequest({t})), &group));
-  svc_.SetDraining(false);
-  EXPECT_TRUE(group.empty());
-  EXPECT_FALSE(svc_.BeginEncodes(std::move(group)).has_value());
+  // The twin answers the same frames one Handle call at a time.
+  EmbeddingDatabase twin_db = EmbeddingDatabase::Build(model_, corpus_, 2);
+  QueryService twin(model_, &twin_db, MicroBatcher::Options{});
+  std::vector<WireFrame> expected;
+  for (const WireFrame& request : burst) {
+    expected.push_back(twin.Handle(request));
+  }
+
+  obs::Counter& batches = svc_.registry().GetCounter("serve/batcher/batches");
+  obs::Counter& items = svc_.registry().GetCounter("serve/batcher/requests");
+  const uint64_t batches_before = batches.Value();
+  const uint64_t items_before = items.Value();
+  const std::vector<WireFrame> replies = svc_.HandleBurst(burst);
+  EXPECT_EQ(batches.Value() - batches_before, 1u);
+  EXPECT_EQ(items.Value() - items_before, 6u);
+
+  ASSERT_EQ(replies.size(), burst.size());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    const bool refused = i == 6 || i == 7;
+    EXPECT_EQ(replies[i].type,
+              refused ? static_cast<uint16_t>(MsgType::kError)
+                      : static_cast<uint16_t>(burst[i].type + 1))
+        << "reply " << i;
+    if (burst[i].type == static_cast<uint16_t>(MsgType::kStatsRequest)) {
+      continue;  // Counts differ by design: one batch against six.
+    }
+    EXPECT_EQ(replies[i].type, expected[i].type) << "reply " << i;
+    EXPECT_EQ(replies[i].payload, expected[i].payload) << "reply " << i;
+  }
+
+  // The TopK after the Insert sees it: the new id at distance 0.
+  InsertResponse inserted;
+  ASSERT_TRUE(ParseInsertResponse(replies[3].payload, &inserted));
+  EXPECT_EQ(inserted.id, corpus_.size());
+  TopKResponse nearest;
+  ASSERT_TRUE(ParseTopKResponse(replies[4].payload, &nearest));
+  ASSERT_EQ(nearest.ids.size(), 1u);
+  EXPECT_EQ(nearest.ids[0], inserted.id);
+  EXPECT_EQ(nearest.dists[0], 0.0);
+  EXPECT_EQ(GetError(replies[6]).code, ErrorCode::kBadRequest);
+  EXPECT_EQ(GetError(replies[7]).code, ErrorCode::kBadRequest);
 }
 
 TEST_F(ServiceTest, FuzzedRequestsAlwaysGetAReply) {

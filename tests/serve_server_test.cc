@@ -626,31 +626,43 @@ TEST_F(ServerTest, DegradedStoreRefusesInsertsButKeepsServingQueries) {
 
 // -- Request tracing over the wire --------------------------------------------
 
-/// Reads exactly one wire frame from a raw socket (blocking).
-WireFrame ReadOneFrame(int fd) {
+/// Reads exactly `n` wire frames from a raw socket (blocking). A burst's
+/// replies go out in one write, so they share one receive buffer.
+std::vector<WireFrame> ReadFrames(int fd, size_t n) {
   std::string rx;
   size_t offset = 0;
-  WireFrame frame;
-  while (true) {
+  std::vector<WireFrame> frames;
+  while (frames.size() < n) {
+    WireFrame frame;
     const FrameStatus st = DecodeWireFrame(rx, &offset, &frame);
-    if (st == FrameStatus::kOk) return frame;
+    if (st == FrameStatus::kOk) {
+      frames.push_back(std::move(frame));
+      continue;
+    }
     EXPECT_EQ(st, FrameStatus::kIncomplete) << "unsyncable reply stream";
     char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
+    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (got <= 0) {
       ADD_FAILURE() << "peer hung up mid-frame";
-      return frame;
+      frames.resize(n);
+      return frames;
     }
-    rx.append(chunk, static_cast<size_t>(n));
+    rx.append(chunk, static_cast<size_t>(got));
   }
+  return frames;
 }
+
+/// Reads exactly one wire frame from a raw socket (blocking).
+WireFrame ReadOneFrame(int fd) { return ReadFrames(fd, 1).front(); }
 
 TEST_F(ServerTest, TracedTopKOverSocketBuildsTheFullSpanTree) {
   // The tentpole's end-to-end claim: a client-forced trace context on a
   // real-socket TopK against an IVF backend yields one span tree whose
   // stages cover the whole request path — batcher queue wait, encode on a
   // batcher worker, IVF probe, exact re-rank, and the transport's reply
-  // write — with every span inside the request's total.
+  // write — with every span inside the request's total. It holds for a
+  // TopK sent alone and for one pipelined inside a mixed burst written
+  // with one send(), whose replies come back in request order.
   retrieval::IvfIndex::Options iopts;
   iopts.nlist = 4;
   iopts.train_sample = 64;
@@ -672,36 +684,77 @@ TEST_F(ServerTest, TracedTopKOverSocketBuildsTheFullSpanTree) {
 
   // Same connection, so the server finished the trace before it read this
   // next request. The dump travels the kTraceDump endpoint itself.
-  const TraceDumpResponse dump = client.TraceDump();
-  ASSERT_EQ(dump.traces.size(), 1u);
-  const obs::FinishedTrace& t = dump.traces.front();
-  EXPECT_EQ(t.trace_id, kForcedId);
-  EXPECT_EQ(t.endpoint, "topk");
-  EXPECT_EQ(t.spans_dropped, 0u);
-  EXPECT_GT(t.total_us, 0.0);
+  ASSERT_EQ(client.TraceDump().traces.size(), 1u);
 
-  std::set<std::string> stages;
-  for (const obs::FinishedSpan& s : t.spans) {
-    stages.insert(s.stage);
-    EXPECT_GE(s.start_us, 0.0) << s.stage;
-    EXPECT_GE(s.dur_us, 0.0) << s.stage;
-    EXPECT_LE(s.start_us + s.dur_us, t.total_us) << s.stage;
-    EXPECT_GT(s.tid, 0u) << s.stage;
+  Rng rng(701);
+  const Trajectory traj = RandomTrajectory(5, 100.0, &rng);
+  TopKRequest topk;
+  topk.query = corpus_[2];
+  topk.k = 3;
+  topk.nprobe = static_cast<uint32_t>(iopts.nlist);
+  topk.trace = {kForcedId + 1, /*sampled=*/true};
+  const std::vector<std::pair<MsgType, std::string>> burst = {
+      {MsgType::kEncodeRequest, SerializeEncodeRequest({traj})},
+      {MsgType::kTopKRequest, SerializeTopKRequest(topk)},
+      {MsgType::kInsertRequest, SerializeInsertRequest({traj})},
+      {MsgType::kPairSimRequest, SerializePairSimRequest({traj, corpus_[0]})},
+      {MsgType::kHealthRequest, ""},
+      {MsgType::kTraceDumpRequest, SerializeTraceDumpRequest({})},
+  };
+  std::string bytes;
+  for (const auto& [type, payload] : burst) {
+    bytes += EncodeWireFrame(static_cast<uint16_t>(type), payload);
   }
-  for (const char* required :
-       {"queue_wait", "encode", "probe", "rerank", "reply"}) {
-    EXPECT_TRUE(stages.count(required)) << "missing stage " << required;
+  const int fd = RawConnect(server.port());
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  const std::vector<WireFrame> replies = ReadFrames(fd, burst.size());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(replies[i].type, static_cast<uint16_t>(burst[i].first) + 1)
+        << "reply " << i;
   }
-  // The required stages are strictly sequential phases of one request, so
-  // their summed durations cannot exceed the measured total.
-  double sequential_us = 0.0;
-  for (const char* required :
-       {"queue_wait", "encode", "probe", "rerank", "reply"}) {
+  // A second read on the raw connection: the server finished the burst's
+  // traces before it read this request.
+  const std::string dump_frame = EncodeWireFrame(
+      static_cast<uint16_t>(MsgType::kTraceDumpRequest),
+      SerializeTraceDumpRequest({}));
+  ASSERT_EQ(::send(fd, dump_frame.data(), dump_frame.size(), 0),
+            static_cast<ssize_t>(dump_frame.size()));
+  TraceDumpResponse dump;
+  ASSERT_TRUE(ParseTraceDumpResponse(ReadOneFrame(fd).payload, &dump));
+  ::close(fd);
+  ASSERT_EQ(dump.traces.size(), 2u);
+
+  for (size_t i = 0; i < dump.traces.size(); ++i) {
+    const obs::FinishedTrace& t = dump.traces[i];
+    EXPECT_EQ(t.trace_id, kForcedId + i);
+    EXPECT_EQ(t.endpoint, "topk");
+    EXPECT_EQ(t.spans_dropped, 0u);
+    EXPECT_GT(t.total_us, 0.0);
+
+    std::set<std::string> stages;
     for (const obs::FinishedSpan& s : t.spans) {
-      if (s.stage == required) sequential_us += s.dur_us;
+      stages.insert(s.stage);
+      EXPECT_GE(s.start_us, 0.0) << s.stage;
+      EXPECT_GE(s.dur_us, 0.0) << s.stage;
+      EXPECT_LE(s.start_us + s.dur_us, t.total_us) << s.stage;
+      EXPECT_GT(s.tid, 0u) << s.stage;
     }
+    for (const char* required :
+         {"queue_wait", "encode", "probe", "rerank", "reply"}) {
+      EXPECT_TRUE(stages.count(required)) << "missing stage " << required;
+    }
+    // The required stages are strictly sequential phases of one request,
+    // so their summed durations cannot exceed the measured total.
+    double sequential_us = 0.0;
+    for (const char* required :
+         {"queue_wait", "encode", "probe", "rerank", "reply"}) {
+      for (const obs::FinishedSpan& s : t.spans) {
+        if (s.stage == required) sequential_us += s.dur_us;
+      }
+    }
+    EXPECT_LE(sequential_us, t.total_us);
   }
-  EXPECT_LE(sequential_us, t.total_us);
 
   client.Close();
   server.Stop();
