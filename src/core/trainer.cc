@@ -165,15 +165,9 @@ Trainer::AnchorStats Trainer::ProcessAnchor(size_t anchor, Rng* rng,
     for (size_t k = 0; k < ids.size(); ++k) {
       const size_t steps = tapes[k].length;
       for (size_t t = 0; t < steps; ++t) {
-        const nn::AttentionTape* att = nullptr;
-        if (t < tapes[k].sam_steps.size() && tapes[k].sam_steps[t].used_memory) {
-          att = &tapes[k].sam_steps[t].att;
-        } else if (t < tapes[k].gru_steps.size() &&
-                   tapes[k].gru_steps[t].used_memory) {
-          att = &tapes[k].gru_steps[t].att;
-        }
-        if (att == nullptr || att->all_masked) continue;
-        out.entropy_sum += AttentionEntropy(att->a);
+        const nn::SamReadTape* read = tapes[k].SamRead(t);
+        if (read == nullptr || !read->used) continue;
+        out.entropy_sum += AttentionEntropy(read->att.a);
         ++out.entropy_steps;
       }
     }

@@ -17,6 +17,7 @@
 #include "nn/lstm_cell.h"
 #include "nn/memory_tensor.h"
 #include "nn/sam_cell.h"
+#include "nn/workspace.h"
 
 namespace neutraj::nn {
 
@@ -34,6 +35,14 @@ struct EncodeTape {
   std::vector<SamTape> sam_steps;
   std::vector<GruTape> gru_steps;
   size_t length = 0;
+
+  /// Step `t`'s SAM read (for either SAM backbone; its `used` is false for
+  /// the plain GRU), or nullptr for the LSTM backbone.
+  const SamReadTape* SamRead(size_t t) const {
+    if (t < sam_steps.size()) return &sam_steps[t].sam;
+    if (t < gru_steps.size()) return &gru_steps[t].sam;
+    return nullptr;
+  }
 };
 
 /// Trajectory -> R^d encoder.

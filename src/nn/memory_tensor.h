@@ -43,11 +43,6 @@ class MemoryTensor {
   void GatherWindow(const std::vector<GridCell>& cells, Matrix* out,
                     std::vector<char>* written_mask = nullptr) const;
 
-  /// True if `cell` has ever been written.
-  bool IsWritten(const GridCell& cell) const {
-    return written_[Offset(cell) / dim_] != 0;
-  }
-
   /// Blended write of the paper's Eq. (write):
   ///   M(cell) = gate (*) value + (1 - gate) (*) M(cell)
   /// `gate` and `value` are d-dimensional. The write contract is enforced

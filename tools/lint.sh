@@ -46,6 +46,13 @@
 #      nn::L2Distance call or sqrt in an IVF scan loop is a second
 #      accumulation order waiting to diverge. (Raw std:: locking in
 #      src/retrieval is already banned repo-wide by rule 7.)
+#   9. One SAM path: outside the SAM module (nn/sam_module.{h,cc}) and the
+#      memory tensor that implements them (nn/memory_tensor.{h,cc}), src/
+#      may not call MemoryTensor::GatherWindow, AttentionForwardPrefilled or
+#      MemoryTensor::BlendWrite. The window read, the fusion and the gated
+#      write exist once and every backbone reaches them through SamModule;
+#      a cell calling them directly is a second copy of the SAM step.
+#      (nn/attention.{h,cc} declares and defines AttentionForwardPrefilled.)
 #
 # Usage: tools/lint.sh   (from anywhere; exits non-zero on any violation)
 
@@ -144,6 +151,15 @@ hits=$(grep -rnE 'nn::L2Distance|std::sqrt\(|std::hypot\(|std::pow\(' \
     | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
 if [[ -n "$hits" ]]; then
   report "float distance math in src/retrieval outside kernels.{h,cc}" "$hits"
+fi
+
+# -- Rule 9: the SAM read and write go through SamModule ---------------------
+hits=$(grep -rnE '\b(GatherWindow|AttentionForwardPrefilled|BlendWrite)\(' \
+    src/ --include='*.cc' --include='*.h' \
+    | grep -vE '^src/nn/(sam_module|memory_tensor|attention)\.(h|cc):' \
+    | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
+if [[ -n "$hits" ]]; then
+  report "SAM read/write primitive called outside nn/sam_module (use SamModule)" "$hits"
 fi
 
 if [[ "$fail" -ne 0 ]]; then
