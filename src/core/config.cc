@@ -51,7 +51,9 @@ std::string NeuTrajConfig::Fingerprint() const {
       << ";lr=" << learning_rate << ";clip=" << clip_norm
       << ";estop=" << early_stop_tol << ";patience=" << patience
       << ";seed=" << rng_seed
-      << ";memo_inf=" << update_memory_at_inference;
+      // Inference never writes the memory; the constant keeps fingerprints
+      // of models and checkpoints from before that was fixed matching.
+      << ";memo_inf=0";
   // Watchdog knobs can change the training trajectory (rollbacks decay the
   // learning rate), so they key the cache; checkpoint_dir/checkpoint_every
   // are pure side effects and deliberately excluded. `threads` is also

@@ -85,10 +85,6 @@ struct NeuTrajConfig {
   /// other.
   size_t threads = 1;
 
-  /// Whether inference-time encodings also write the spatial memory.
-  /// The default (false) keeps the model deterministic after training.
-  bool update_memory_at_inference = false;
-
   // -- Fault tolerance --------------------------------------------------------
   /// Directory for crash-safe training checkpoints; empty disables them.
   /// When set, the Trainer writes `checkpoint_dir`/neutraj.ckpt atomically

@@ -19,13 +19,12 @@ NeuTrajModel::NeuTrajModel(const NeuTrajConfig& cfg, const Grid& grid)
 void NeuTrajModel::InitializeWeights(Rng* rng) { encoder_->Initialize(rng); }
 
 nn::Vector NeuTrajModel::Embed(const Trajectory& traj) const {
-  return encoder_->Encode(traj, config_.update_memory_at_inference);
+  return encoder_->Encode(traj, /*update_memory=*/false);
 }
 
 nn::Vector NeuTrajModel::Embed(const Trajectory& traj,
                                nn::CellWorkspace* ws) const {
-  return encoder_->Encode(traj, config_.update_memory_at_inference,
-                          /*tape=*/nullptr, ws);
+  return encoder_->Encode(traj, /*update_memory=*/false, /*tape=*/nullptr, ws);
 }
 
 std::vector<nn::Vector> NeuTrajModel::EmbedAll(
@@ -39,10 +38,6 @@ std::vector<nn::Vector> NeuTrajModel::EmbedAll(
 
 std::vector<nn::Vector> NeuTrajModel::EmbedAllParallel(
     const std::vector<Trajectory>& corpus, size_t num_threads) const {
-  if (config_.update_memory_at_inference) {
-    throw std::logic_error(
-        "EmbedAllParallel: memory-updating inference cannot run in parallel");
-  }
   const size_t n = corpus.size();
   std::vector<nn::Vector> out(n);
   if (num_threads <= 1 || n <= 1) {
@@ -102,7 +97,7 @@ void NeuTrajModel::Save(const std::string& path) const {
           << ' ' << config_.batch_size << ' ' << config_.epochs << ' '
           << config_.learning_rate << ' ' << config_.clip_norm << ' '
           << config_.early_stop_tol << ' ' << config_.patience << ' '
-          << config_.rng_seed << ' ' << config_.update_memory_at_inference;
+          << config_.rng_seed << ' ' << 0;  // Inference-writes slot; see Load.
   w.Add("config", cfg_out.str());
 
   const Grid& g = grid();
@@ -158,7 +153,13 @@ NeuTrajModel NeuTrajModel::Load(const std::string& path) {
   cfg.backbone = static_cast<nn::Backbone>(backbone);
   cfg.sampling = static_cast<SamplingStrategy>(sampling);
   cfg.loss = static_cast<LossKind>(loss);
-  cfg.update_memory_at_inference = update_inference != 0;
+  if (update_inference != 0) {
+    // Files written when inference could be set to update the SAM memory.
+    throw std::runtime_error(
+        source +
+        ": model enables memory-updating inference, which is no longer "
+        "supported; inference reads the SAM memory only");
+  }
 
   std::istringstream grid_in(r.Get("grid"));
   BoundingBox region;

@@ -30,8 +30,7 @@ class NeuTrajModel {
   /// Random weight initialization.
   void InitializeWeights(Rng* rng);
 
-  /// Embeds one trajectory (inference). Whether the SAM memory is updated
-  /// follows cfg.update_memory_at_inference (default: read-only).
+  /// Embeds one trajectory (inference). Reads the SAM memory, never writes it.
   nn::Vector Embed(const Trajectory& traj) const;
 
   /// Hot-path overload for bulk encoding: uses caller-owned scratch so
@@ -43,9 +42,7 @@ class NeuTrajModel {
   std::vector<nn::Vector> EmbedAll(const std::vector<Trajectory>& corpus) const;
 
   /// Parallel corpus embedding over `num_threads` workers, each with its
-  /// own workspace. Requires read-only inference (throws std::logic_error
-  /// when cfg.update_memory_at_inference is set, since concurrent memory
-  /// writes would race). Results are identical to EmbedAll.
+  /// own workspace. Results are identical to EmbedAll.
   std::vector<nn::Vector> EmbedAllParallel(const std::vector<Trajectory>& corpus,
                                            size_t num_threads) const;
 
@@ -67,13 +64,15 @@ class NeuTrajModel {
   void Save(const std::string& path) const;
 
   /// Restores a model saved by Save(). Throws std::runtime_error on
-  /// malformed files.
+  /// malformed files and on files whose config enables memory-updating
+  /// inference (an option older versions had).
   static NeuTrajModel Load(const std::string& path);
 
  private:
   NeuTrajConfig config_;
-  // unique_ptr so the model stays cheaply movable; Encode() mutates tapes
-  // and (optionally) memory, hence the mutable indirection for const Embed.
+  // unique_ptr so the model stays cheaply movable. Encoder::Encode is
+  // non-const because training writes the memory through it; const Embed
+  // reaches it through this indirection and never asks for a write.
   std::unique_ptr<nn::Encoder> encoder_;
 };
 

@@ -19,11 +19,6 @@ MicroBatcher::MicroBatcher(const NeuTrajModel& model, const Options& opts)
   wait_us_hist_ = &reg.GetHistogram("serve/batcher/wait_us");
   requests_counter_ = &reg.GetCounter("serve/batcher/requests");
   batches_counter_ = &reg.GetCounter("serve/batcher/batches");
-  if (model.config().update_memory_at_inference) {
-    throw std::logic_error(
-        "MicroBatcher: memory-updating inference cannot be batched across "
-        "threads");
-  }
   if (opts_.max_batch == 0) {
     throw std::invalid_argument("MicroBatcher: max_batch must be >= 1");
   }

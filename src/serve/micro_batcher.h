@@ -75,8 +75,7 @@ class MicroBatcher {
     std::vector<uint8_t> bad_input;
   };
 
-  /// The model must use read-only inference (throws std::logic_error when
-  /// cfg.update_memory_at_inference is set, mirroring EmbedAllParallel).
+  /// Throws std::invalid_argument when opts.max_batch is 0.
   MicroBatcher(const NeuTrajModel& model, const Options& opts);
 
   /// Drains the queue (pending futures complete), then joins.

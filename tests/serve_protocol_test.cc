@@ -922,14 +922,6 @@ TEST(MicroBatcherTest, ShutdownIsIdempotentAndRefusesLaterWork) {
 }
 
 TEST(MicroBatcherTest, RejectsInvalidConfigurations) {
-  NeuTrajConfig cfg = SmallConfig();
-  cfg.update_memory_at_inference = true;
-  NeuTrajModel writing_model(cfg, SmallGrid());
-  Rng rng(7);
-  writing_model.InitializeWeights(&rng);
-  EXPECT_THROW(MicroBatcher(writing_model, MicroBatcher::Options{}),
-               std::logic_error);
-
   const NeuTrajModel model = MakeModel();
   MicroBatcher::Options zero_batch;
   zero_batch.max_batch = 0;

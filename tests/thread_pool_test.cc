@@ -168,19 +168,5 @@ TEST(ParallelEmbedTest, MatchesSerialEmbedding) {
   }
 }
 
-TEST(ParallelEmbedTest, RejectsMemoryUpdatingInference) {
-  Rng rng(133);
-  const auto corpus = testing::RandomCorpus(4, 5, 8, 800.0, &rng);
-  BoundingBox region = BoundingBox::Empty();
-  for (const auto& t : corpus) region.Extend(t.Bounds());
-  NeuTrajConfig cfg = NeuTrajConfig::NeuTraj();
-  cfg.embedding_dim = 8;
-  cfg.update_memory_at_inference = true;
-  NeuTrajModel model(cfg, Grid(region.Inflated(5.0), 100.0));
-  Rng wr(1);
-  model.InitializeWeights(&wr);
-  EXPECT_THROW(model.EmbedAllParallel(corpus, 2), std::logic_error);
-}
-
 }  // namespace
 }  // namespace neutraj
