@@ -15,46 +15,19 @@
 // text format. Every command prints to stdout and exits non-zero on error.
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "neutraj.h"
 #include "common/file_util.h"
 
 namespace {
 
 using namespace neutraj;
-
-/// Parsed "--key value" flags plus the positional subcommand.
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::stod(it->second);
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::stoll(it->second);
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
-
-  /// Requires a flag to be present; throws with a usage hint otherwise.
-  std::string Require(const std::string& key) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) {
-      throw std::runtime_error("missing required flag --" + key);
-    }
-    return it->second;
-  }
-};
+using tools::Args;
+using tools::ParseArgs;
 
 /// Loads a corpus with the empty-trajectory ingestion guard: empty lines in
 /// hand-edited CSVs become a warning, not an encoder crash mid-run.
@@ -68,28 +41,6 @@ std::vector<Trajectory> LoadCorpusGuarded(const std::string& path) {
   return corpus;
 }
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc < 2) throw std::runtime_error("no subcommand given");
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      throw std::runtime_error("unexpected argument: " + token);
-    }
-    token = token.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      // Assign through a named std::string: the const char* overload of
-      // operator= trips a GCC 12 -Wrestrict false positive (PR 105329)
-      // when inlined at -O3.
-      const std::string value = argv[++i];
-      args.flags[token] = value;
-    } else {
-      args.flags[token] = std::string("1");  // Boolean flag.
-    }
-  }
-  return args;
-}
 
 void PrintUsage() {
   std::printf(
@@ -298,7 +249,7 @@ int CmdDistance(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    const Args args = ParseArgs(argc, argv);
+    const Args args = ParseArgs(argc, argv, /*has_subcommand=*/true);
     if (args.command == "generate") return CmdGenerate(args);
     if (args.command == "train") return CmdTrain(args);
     if (args.command == "embed") return CmdEmbed(args);

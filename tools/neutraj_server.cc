@@ -46,10 +46,10 @@
 // requests carrying --trace-id are traced regardless of the sampling rate.
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 
+#include "flags.h"
 #include "neutraj.h"
 #include "common/errors.h"
 #include "common/file_util.h"
@@ -57,45 +57,8 @@
 namespace {
 
 using namespace neutraj;
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::stoll(it->second);
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
-  std::string Require(const std::string& key) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) {
-      throw std::runtime_error("missing required flag --" + key);
-    }
-    return it->second;
-  }
-};
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) {
-      throw std::runtime_error("unexpected argument: " + token);
-    }
-    token = token.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      const std::string value = argv[++i];
-      args.flags[token] = value;
-    } else {
-      args.flags[token] = std::string("1");
-    }
-  }
-  return args;
-}
+using tools::Args;
+using tools::ParseArgs;
 
 void PrintUsage() {
   std::printf(
@@ -244,7 +207,7 @@ int Run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return Run(ParseArgs(argc, argv));
+    return Run(ParseArgs(argc, argv, /*has_subcommand=*/false));
   } catch (const neutraj::CorruptionError& e) {
     // Corrupt persistent state is an operational problem, not a usage one:
     // report the typed context (source file, section, byte offset) and stop.
