@@ -141,17 +141,6 @@ void AxpyInPlace(double alpha, const Vector& x, Vector* y) {
   for (size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
 }
 
-void Hadamard(const Vector& a, const Vector& b, Vector* out) {
-  CheckDim(a.size() == b.size(), "Hadamard");
-  out->resize(a.size());
-  for (size_t i = 0; i < a.size(); ++i) (*out)[i] = a[i] * b[i];
-}
-
-void HadamardAccum(const Vector& a, const Vector& b, Vector* out) {
-  CheckDim(a.size() == b.size() && a.size() == out->size(), "HadamardAccum");
-  for (size_t i = 0; i < a.size(); ++i) (*out)[i] += a[i] * b[i];
-}
-
 double Dot(const Vector& a, const Vector& b) {
   CheckDim(a.size() == b.size(), "Dot");
   double s = 0.0;
@@ -164,8 +153,6 @@ double SquaredNorm(const Vector& v) {
   for (double x : v) s += x * x;
   return s;
 }
-
-double L2Norm(const Vector& v) { return std::sqrt(SquaredNorm(v)); }
 
 double L2Distance(const Vector& a, const Vector& b) {
   CheckDim(a.size() == b.size(), "L2Distance");
@@ -190,11 +177,6 @@ void SoftmaxInPlace(Vector* v) {
                      "softmax normalizer must be positive and finite");
   for (double& x : *v) x /= total;
   NEUTRAJ_DCHECK_FINITE(*v);
-}
-
-void SigmoidInto(const Vector& x, Vector* out) {
-  out->resize(x.size());
-  for (size_t i = 0; i < x.size(); ++i) (*out)[i] = 1.0 / (1.0 + std::exp(-x[i]));
 }
 
 void TanhInto(const Vector& x, Vector* out) {

@@ -9,6 +9,7 @@
 #ifndef NEUTRAJ_NN_MATRIX_H_
 #define NEUTRAJ_NN_MATRIX_H_
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -87,20 +88,11 @@ void AddOuterProduct(Matrix* a, const Vector& u, const Vector& v);
 /// y += x.
 void AxpyInPlace(double alpha, const Vector& x, Vector* y);
 
-/// out = a (elementwise*) b.
-void Hadamard(const Vector& a, const Vector& b, Vector* out);
-
-/// out += a (elementwise*) b.
-void HadamardAccum(const Vector& a, const Vector& b, Vector* out);
-
 /// Dot product.
 double Dot(const Vector& a, const Vector& b);
 
 /// Squared L2 norm.
 double SquaredNorm(const Vector& v);
-
-/// Euclidean (L2) norm.
-double L2Norm(const Vector& v);
 
 /// Euclidean distance between two equal-length vectors.
 double L2Distance(const Vector& a, const Vector& b);
@@ -108,8 +100,10 @@ double L2Distance(const Vector& a, const Vector& b);
 /// In-place numerically-stable softmax.
 void SoftmaxInPlace(Vector* v);
 
-/// Elementwise sigmoid / tanh applied out-of-place.
-void SigmoidInto(const Vector& x, Vector* out);
+/// The logistic sigmoid of the recurrent cells' gates.
+inline double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+/// Elementwise tanh applied out-of-place.
 void TanhInto(const Vector& x, Vector* out);
 
 }  // namespace neutraj::nn

@@ -103,20 +103,12 @@ TEST(VectorKernelsTest, AxpyHadamardDot) {
   EXPECT_DOUBLE_EQ(y[0], 7);
   EXPECT_DOUBLE_EQ(y[1], 0);
 
-  Vector h;
-  Hadamard({2, 3}, {4, 5}, &h);
-  EXPECT_DOUBLE_EQ(h[0], 8);
-  EXPECT_DOUBLE_EQ(h[1], 15);
-  HadamardAccum({1, 1}, {1, 1}, &h);
-  EXPECT_DOUBLE_EQ(h[0], 9);
-
   EXPECT_DOUBLE_EQ(Dot({1, 2, 3}, {4, 5, 6}), 32.0);
   EXPECT_THROW(Dot({1}, {1, 2}), std::invalid_argument);
 }
 
 TEST(VectorKernelsTest, Norms) {
   EXPECT_DOUBLE_EQ(SquaredNorm({3, 4}), 25.0);
-  EXPECT_DOUBLE_EQ(L2Norm({3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(L2Distance({0, 0}, {3, 4}), 5.0);
   EXPECT_THROW(L2Distance({1}, {1, 2}), std::invalid_argument);
 }
@@ -254,11 +246,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<size_t, size_t>(52, 13)));
 
 TEST(ActivationTest, SigmoidAndTanh) {
-  Vector s, t;
-  SigmoidInto({0.0, 100.0, -100.0}, &s);
-  EXPECT_NEAR(s[0], 0.5, 1e-12);
-  EXPECT_NEAR(s[1], 1.0, 1e-12);
-  EXPECT_NEAR(s[2], 0.0, 1e-12);
+  EXPECT_NEAR(Sigmoid(0.0), 0.5, 1e-12);
+  EXPECT_NEAR(Sigmoid(100.0), 1.0, 1e-12);
+  EXPECT_NEAR(Sigmoid(-100.0), 0.0, 1e-12);
+  Vector t;
   TanhInto({0.0, 1.0}, &t);
   EXPECT_NEAR(t[0], 0.0, 1e-12);
   EXPECT_NEAR(t[1], std::tanh(1.0), 1e-12);
