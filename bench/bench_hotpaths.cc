@@ -3,9 +3,10 @@
 // the batcher encode path. Emits BENCH_hotpaths.json with the raw timings
 // so perf regressions are diffable across commits.
 //
-// Two invariants are asserted while timing, not just measured:
-//   - the blocked kernels agree with the textbook loops they replaced;
-//   - the epoch loss is identical (bit for bit) at every thread count.
+// The blocked kernels are timed against the textbook loops they replaced
+// (BlockedKernelTest in tests/nn_matrix_test.cc checks that they agree).
+// One invariant is asserted while timing, not just measured: the epoch loss
+// is identical (bit for bit) at every thread count.
 // Wall-clock speedups depend on the machine's core count; the JSON records
 // the detected hardware_concurrency alongside every timing for context.
 //

@@ -4,9 +4,10 @@
 //
 // Phase 1 starts four real loopback servers against the same model +
 // corpus and times them in the same interleaved rounds — after a warm-up
-// pass each, every round runs a fixed number of passes per server, the
-// first server rotating — so every comparison reads one measurement, with
-// the min-max spread recorded:
+// pass each, every round runs a fixed number of passes per server in a
+// balanced order (each server first, and right after each other server,
+// equally often) — so every comparison reads one measurement, with the
+// min-max spread recorded:
 //   - unbatched baseline: max_batch=1, no straggler window, one sequential
 //     client issuing single Encode requests back to back — the
 //     one-request-at-a-time cost every serving stack starts from;
@@ -60,6 +61,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -92,14 +94,12 @@ constexpr double kSpreadSigma = 0.3;
 constexpr uint64_t kRetrievalSeed = 97;
 constexpr size_t kRetrievalQueries = 64;
 constexpr size_t kRetrievalK = 10;
-constexpr size_t kRetrievalRounds = 5;  ///< Interleaved rounds per leg.
-static_assert(kRetrievalRounds % 2 == 1, "the median is the middle round");
+constexpr size_t kRetrievalRounds = 6;  ///< Interleaved rounds per leg.
 
 // Phase 1 (serving) shape: each round times this many passes per server
 // (~0.02-0.04 s each on 4 cores).
-constexpr size_t kServingRounds = 15;
+constexpr size_t kServingRounds = 16;
 constexpr size_t kServingPassesPerRound = 8;
-static_assert(kServingRounds % 2 == 1, "the median is the middle round");
 
 struct LatencyStats {
   std::vector<double> round_qps;  ///< One entry per round, in round order.
@@ -119,14 +119,33 @@ double Percentile(std::vector<double> micros, double q) {
   return micros[std::min(micros.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
+/// Median of `v` (mean of the two middle values for an even count).
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
+/// Leg `turn` of round `round` in a Williams design over an even number k
+/// of legs: in every k rounds each leg runs first once and directly follows
+/// each other leg once. (A cyclic rotation always puts a leg after the same
+/// predecessor, which then carries over into its timing.)
+size_t BalancedLeg(size_t round, size_t turn, size_t k) {
+  return ((turn % 2 == 1 ? (turn + 1) / 2 : k - turn / 2) + round) % k;
+}
+
 /// Times each of `legs` over the same n operations, interleaved round by
-/// round after one warm-up pass each. The leg that goes first rotates every
-/// round, so drift in machine state and any first-mover cost land on all
-/// legs alike. qps is summarized per round (median and min-max); p50/p99
-/// pool the per-operation latencies of every round.
+/// round after one warm-up pass each, in BalancedLeg order (`rounds` a
+/// multiple of the even leg count), so drift, first-mover cost and carry-over
+/// land on all legs alike. qps is summarized per round (median and min-max);
+/// p50/p99 pool the per-operation latencies of every round.
 std::vector<LatencyStats> MeasureInterleaved(
     size_t n, size_t rounds,
     const std::vector<std::function<void(size_t)>>& legs) {
+  if (legs.size() % 2 != 0 || rounds % legs.size() != 0) {
+    std::fprintf(stderr, "MeasureInterleaved: needs whole balanced cycles\n");
+    std::exit(2);
+  }
   std::vector<std::vector<double>> qps(legs.size());
   std::vector<std::vector<double>> lat(legs.size());
   for (const auto& run : legs) {
@@ -134,7 +153,7 @@ std::vector<LatencyStats> MeasureInterleaved(
   }
   for (size_t round = 0; round < rounds; ++round) {
     for (size_t turn = 0; turn < legs.size(); ++turn) {
-      const size_t leg = (round + turn) % legs.size();
+      const size_t leg = BalancedLeg(round, turn, legs.size());
       Stopwatch total;
       for (size_t i = 0; i < n; ++i) {
         Stopwatch sw;
@@ -147,10 +166,10 @@ std::vector<LatencyStats> MeasureInterleaved(
   std::vector<LatencyStats> out(legs.size());
   for (size_t leg = 0; leg < legs.size(); ++leg) {
     out[leg].round_qps = qps[leg];
-    std::sort(qps[leg].begin(), qps[leg].end());
-    out[leg].median_qps = qps[leg][qps[leg].size() / 2];
-    out[leg].min_qps = qps[leg].front();
-    out[leg].max_qps = qps[leg].back();
+    out[leg].median_qps = Median(qps[leg]);
+    const auto [lo, hi] = std::minmax_element(qps[leg].begin(), qps[leg].end());
+    out[leg].min_qps = *lo;
+    out[leg].max_qps = *hi;
     out[leg].p50_micros = Percentile(lat[leg], 0.5);
     out[leg].p99_micros = Percentile(lat[leg], 0.99);
   }
@@ -215,8 +234,8 @@ struct ServingLeg {
 };
 
 /// Starts one server per leg, then times all of them in the same
-/// interleaved rounds (MeasureInterleaved: a warm-up pass each, the first
-/// leg rotating), so every serving comparison reads one measurement.
+/// interleaved rounds (MeasureInterleaved: a warm-up pass each, then a
+/// balanced leg order), so every serving comparison reads one measurement.
 /// qps is the per-round median with its min-max spread; p50/p99 come from
 /// each server's encode endpoint histogram over warm-up and all rounds.
 std::vector<PhaseResult> RunServingLegs(const NeuTrajModel& model,
@@ -290,8 +309,8 @@ PairedOverhead PairedRoundOverhead(const PhaseResult& base,
   for (size_t r = 0; r < base.round_qps.size(); ++r) {
     ratios.push_back(base.round_qps[r] / leg.round_qps[r] - 1.0);
   }
-  std::sort(ratios.begin(), ratios.end());
-  return {ratios[ratios.size() / 2], ratios.front(), ratios.back()};
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  return {Median(ratios), *lo, *hi};
 }
 
 struct InsertResult {

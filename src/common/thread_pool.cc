@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace neutraj {
 
@@ -67,23 +68,32 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& body) {
+void ForEachChunk(
+    ThreadPool* pool, size_t n,
+    const std::function<void(size_t lo, size_t hi, size_t chunk)>& body) {
   if (n == 0) return;
-  if (num_threads <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
+  const size_t chunks = pool == nullptr ? 1 : std::min(n, pool->num_threads());
+  if (chunks == 1) {
+    body(0, n, 0);
     return;
   }
-  const size_t workers = std::min(num_threads, n);
-  ThreadPool pool(workers);
-  const size_t chunk = (n + workers - 1) / workers;
-  for (size_t start = 0; start < n; start += chunk) {
-    const size_t end = std::min(start + chunk, n);
-    pool.Submit([start, end, &body] {
-      for (size_t i = start; i < end; ++i) body(i);
-    });
+  const size_t size = (n + chunks - 1) / chunks;
+  size_t chunk = 0;
+  for (size_t lo = 0; lo < n; lo += size, ++chunk) {
+    const size_t hi = std::min(lo + size, n);
+    pool->Submit([&body, lo, hi, chunk] { body(lo, hi, chunk); });
   }
-  pool.Wait();
+  pool->Wait();
+}
+
+void ParallelFor(size_t n, size_t num_threads,
+                 const std::function<void(size_t)>& body) {
+  const size_t workers = std::min(n, num_threads);
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  ForEachChunk(pool ? &*pool : nullptr, n, [&body](size_t lo, size_t hi, size_t) {
+    for (size_t i = lo; i < hi; ++i) body(i);
+  });
 }
 
 }  // namespace neutraj

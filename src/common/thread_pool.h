@@ -1,9 +1,8 @@
-// Minimal fixed-size thread pool and a parallel-for helper.
+// Fixed-size thread pool and the one chunked fan-out built on it.
 //
-// The quadratic seed-distance computation and corpus embedding are
-// embarrassingly parallel; this pool lets multi-core users amortize them
-// (the experiments in this repo run single-threaded for determinism of
-// timings, but the drivers below are used by the library API).
+// Every parallel site splits [0, n) with ForEachChunk (trainer anchor
+// batches, the serving micro-batcher, bulk embedding) or its per-index form
+// ParallelFor (IVF assignment). Chunking never changes a result.
 
 #ifndef NEUTRAJ_COMMON_THREAD_POOL_H_
 #define NEUTRAJ_COMMON_THREAD_POOL_H_
@@ -19,7 +18,8 @@
 
 namespace neutraj {
 
-/// Fixed-size worker pool executing void() tasks FIFO.
+/// Fixed-size worker pool executing void() tasks FIFO; src/ submits to it
+/// only through ForEachChunk (tools/lint.sh rule 10).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1 enforced).
@@ -59,9 +59,19 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(i) for i in [0, n), split across `num_threads` workers in
-/// contiguous chunks. `body` must be safe to call concurrently for distinct
-/// i. num_threads <= 1 runs inline.
+/// Splits [0, n) into min(n, pool->num_threads()) contiguous chunks of
+/// ceil(n / chunks) items and runs body(lo, hi, chunk) for each, where
+/// `chunk` (< pool->num_threads()) indexes the caller's per-worker scratch.
+/// A null pool or a single chunk runs inline on the calling thread; else
+/// the call blocks until every chunk has run on the pool, then rethrows the
+/// first exception a chunk threw (the pool stays usable).
+void ForEachChunk(
+    ThreadPool* pool, size_t n,
+    const std::function<void(size_t lo, size_t hi, size_t chunk)>& body);
+
+/// Runs body(i) for i in [0, n) through ForEachChunk on a transient pool of
+/// min(n, num_threads) workers. `body` must be safe to call concurrently for
+/// distinct i. num_threads <= 1 runs inline.
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& body);
 

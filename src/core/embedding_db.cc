@@ -63,9 +63,7 @@ EmbeddingDatabase EmbeddingDatabase::Build(const NeuTrajModel& model,
   // not shared yet, but static member functions are inside the thread-safety
   // analysis boundary, so the guarded members are only touched while their
   // capability is held.
-  std::vector<nn::Vector> embeddings = threads > 1
-                                           ? model.EmbedAllParallel(corpus, threads)
-                                           : model.EmbedAll(corpus);
+  std::vector<nn::Vector> embeddings = model.EmbedAllParallel(corpus, threads);
   const size_t dim = embeddings.empty() ? 0 : embeddings.front().size();
   const size_t count = embeddings.size();
   EmbeddingDatabase db;

@@ -48,8 +48,7 @@ class EmbeddingDatabase {
   EmbeddingDatabase& operator=(const EmbeddingDatabase&) = delete;
 
   /// Embeds `corpus` with `model` over `threads` workers (results identical
-  /// for every thread count) and returns the database. The model must use
-  /// read-only inference when threads > 1 (see EmbedAllParallel).
+  /// for every thread count) and returns the database.
   static EmbeddingDatabase Build(const NeuTrajModel& model,
                                  const std::vector<Trajectory>& corpus,
                                  size_t threads = 1);

@@ -1,5 +1,7 @@
 #include "core/model.h"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -40,26 +42,15 @@ std::vector<nn::Vector> NeuTrajModel::EmbedAllParallel(
     const std::vector<Trajectory>& corpus, size_t num_threads) const {
   const size_t n = corpus.size();
   std::vector<nn::Vector> out(n);
-  if (num_threads <= 1 || n <= 1) {
-    nn::CellWorkspace ws;
-    for (size_t i = 0; i < n; ++i) out[i] = Embed(corpus[i], &ws);
-    return out;
-  }
-  // Contiguous chunks, one workspace per chunk: workers share the encoder
-  // read-only and never share scratch.
-  const size_t workers = std::min(num_threads, n);
+  // One workspace per chunk: workers share the encoder read-only and never
+  // share scratch.
+  const size_t workers = std::max<size_t>(1, std::min(num_threads, n));
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
   std::vector<nn::CellWorkspace> wss(workers);
-  ThreadPool pool(workers);
-  const size_t chunk = (n + workers - 1) / workers;
-  size_t widx = 0;
-  for (size_t start = 0; start < n; start += chunk, ++widx) {
-    const size_t end = std::min(start + chunk, n);
-    nn::CellWorkspace* ws = &wss[widx];
-    pool.Submit([this, &corpus, &out, start, end, ws] {
-      for (size_t i = start; i < end; ++i) out[i] = Embed(corpus[i], ws);
-    });
-  }
-  pool.Wait();
+  ForEachChunk(pool ? &*pool : nullptr, n, [&](size_t lo, size_t hi, size_t c) {
+    for (size_t i = lo; i < hi; ++i) out[i] = Embed(corpus[i], &wss[c]);
+  });
   return out;
 }
 
@@ -115,19 +106,8 @@ void NeuTrajModel::Save(const std::string& path) const {
   w.Add("params", nn::SerializeParams(params));
 
   // SAM memory (inference reads it).
-  std::ostringstream mem_out;
-  mem_out.precision(17);
-  if (encoder_->has_memory()) {
-    const auto& mem = encoder_->memory().values();
-    mem_out << mem.size() << '\n';
-    for (size_t i = 0; i < mem.size(); ++i) {
-      if (i > 0) mem_out << ' ';
-      mem_out << mem[i];
-    }
-  } else {
-    mem_out << 0 << '\n';
-  }
-  w.Add("memory", mem_out.str());
+  w.Add("memory", nn::SerializeMemory(
+                      encoder_->has_memory() ? &encoder_->memory() : nullptr));
 
   WriteFileAtomic(path, w.Finish());
 }
@@ -171,25 +151,9 @@ NeuTrajModel NeuTrajModel::Load(const std::string& path) {
   NeuTrajModel model(cfg, Grid(region, cols, rows));
   nn::DeserializeParams(r.Get("params"), model.encoder_->Params());
 
-  std::istringstream mem_in(r.Get("memory"));
-  size_t count = 0;
-  if (!(mem_in >> count)) {
-    throw std::runtime_error(source + ": bad memory section");
-  }
-  if (model.encoder_->has_memory()) {
-    auto& mem = model.encoder_->memory().values();
-    if (count != mem.size()) {
-      throw std::runtime_error(source + ": memory size mismatch");
-    }
-    for (double& v : mem) {
-      if (!(mem_in >> v)) {
-        throw std::runtime_error(source + ": truncated memory values");
-      }
-    }
-    model.encoder_->memory().RecomputeWrittenFlags();
-  } else if (count != 0) {
-    throw std::runtime_error(source + ": unexpected memory block");
-  }
+  nn::Encoder& enc = *model.encoder_;
+  nn::DeserializeMemory(r.Get("memory"),
+                        enc.has_memory() ? &enc.memory() : nullptr, source);
   return model;
 }
 

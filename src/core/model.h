@@ -41,8 +41,9 @@ class NeuTrajModel {
   /// Embeds a corpus; equivalent to calling Embed per trajectory.
   std::vector<nn::Vector> EmbedAll(const std::vector<Trajectory>& corpus) const;
 
-  /// Parallel corpus embedding over `num_threads` workers, each with its
-  /// own workspace. Results are identical to EmbedAll.
+  /// Corpus embedding over `num_threads` workers (ForEachChunk), one
+  /// workspace per chunk; num_threads <= 1 runs inline. Results are
+  /// identical to EmbedAll for every thread count.
   std::vector<nn::Vector> EmbedAllParallel(const std::vector<Trajectory>& corpus,
                                            size_t num_threads) const;
 

@@ -42,48 +42,6 @@ nn::AdamOptions MakeAdamOptions(const NeuTrajConfig& cfg) {
   return o;
 }
 
-std::string SerializeMemory(const nn::Encoder& enc) {
-  std::ostringstream out;
-  out.precision(17);
-  if (!enc.has_memory()) {
-    out << "0\n";
-    return out.str();
-  }
-  const auto& mem = enc.memory().values();
-  out << mem.size() << '\n';
-  for (size_t i = 0; i < mem.size(); ++i) {
-    if (i > 0) out << ' ';
-    out << mem[i];
-  }
-  out << '\n';
-  return out.str();
-}
-
-void DeserializeMemory(const std::string& text, nn::Encoder* enc,
-                       const std::string& source) {
-  std::istringstream in(text);
-  size_t count = 0;
-  if (!(in >> count)) {
-    throw std::runtime_error(source + ": bad memory section");
-  }
-  if (!enc->has_memory()) {
-    if (count != 0) {
-      throw std::runtime_error(source + ": unexpected memory block");
-    }
-    return;
-  }
-  auto& mem = enc->memory().values();
-  if (count != mem.size()) {
-    throw std::runtime_error(source + ": memory size mismatch");
-  }
-  for (double& v : mem) {
-    if (!(in >> v)) {
-      throw std::runtime_error(source + ": truncated memory values");
-    }
-  }
-  enc->memory().RecomputeWrittenFlags();
-}
-
 }  // namespace
 
 Trainer::Trainer(const NeuTrajConfig& cfg, const Grid& grid,
@@ -265,7 +223,7 @@ std::string Trainer::SerializeState() const {
   std::vector<const nn::Param*> params;
   for (nn::Param* p : enc.Params()) params.push_back(p);
   w.Add("params", nn::SerializeParams(params));
-  w.Add("memory", SerializeMemory(enc));
+  w.Add("memory", nn::SerializeMemory(enc.has_memory() ? &enc.memory() : nullptr));
   w.Add("adam", adam_.SerializeState());
   w.Add("rng", rng_.SaveState());
   return w.Finish();
@@ -306,7 +264,8 @@ void Trainer::RestoreState(const std::string& contents,
 
   nn::Encoder& enc = model_.encoder();
   nn::DeserializeParams(r.Get("params"), enc.Params());
-  DeserializeMemory(r.Get("memory"), &enc, source);
+  nn::DeserializeMemory(r.Get("memory"),
+                        enc.has_memory() ? &enc.memory() : nullptr, source);
   adam_.DeserializeState(r.Get("adam"));
   rng_.LoadState(r.Get("rng"));
 
@@ -426,27 +385,15 @@ TrainResult Trainer::Train(const EpochCallback& callback) {
         anchor_writes[k].clear();
       }
 
-      auto run_range = [&](size_t lo, size_t hi, AnchorScratch* scratch) {
+      // Rethrows the first worker exception, if any.
+      ForEachChunk(pool.get(), bs, [&](size_t lo, size_t hi, size_t chunk) {
         for (size_t k = lo; k < hi; ++k) {
           Rng anchor_rng(anchor_seeds[k]);
           anchor_stats[k] =
               ProcessAnchor(anchors[start + k], &anchor_rng, &anchor_grads[k],
-                            &anchor_writes[k], scratch);
+                            &anchor_writes[k], &scratches[chunk]);
         }
-      };
-      if (pool != nullptr && bs > 1) {
-        const size_t workers = std::min(nthreads, bs);
-        const size_t chunk = (bs + workers - 1) / workers;
-        size_t widx = 0;
-        for (size_t lo = 0; lo < bs; lo += chunk, ++widx) {
-          const size_t hi = std::min(lo + chunk, bs);
-          AnchorScratch* scratch = &scratches[widx];
-          pool->Submit([&run_range, lo, hi, scratch] { run_range(lo, hi, scratch); });
-        }
-        pool->Wait();  // Rethrows the first worker exception, if any.
-      } else {
-        run_range(0, bs, &scratches[0]);
-      }
+      });
 
       // Ordered commit: watchdog checks, gradient reduction and memory
       // writes all happen in anchor order, on one thread.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
-
 namespace neutraj {
 
 double DistanceMatrix::Max() const {
@@ -39,20 +37,6 @@ DistanceMatrix ComputePairwiseDistances(const std::vector<Trajectory>& trajs,
 DistanceMatrix ComputePairwiseDistances(const std::vector<Trajectory>& trajs,
                                         Measure m) {
   return ComputePairwiseDistances(trajs, ExactDistanceFn(m));
-}
-
-DistanceMatrix ComputePairwiseDistancesParallel(
-    const std::vector<Trajectory>& trajs, const DistanceFn& fn,
-    size_t num_threads) {
-  DistanceMatrix d(trajs.size());
-  // One task per row; Set writes (i,j) and (j,i), which are distinct cells
-  // owned by row i's task (j > i), so rows never race.
-  ParallelFor(trajs.size(), num_threads, [&](size_t i) {
-    for (size_t j = i + 1; j < trajs.size(); ++j) {
-      d.Set(i, j, fn(trajs[i], trajs[j]));
-    }
-  });
-  return d;
 }
 
 }  // namespace neutraj

@@ -53,13 +53,6 @@ DistanceMatrix ComputePairwiseDistances(const std::vector<Trajectory>& trajs,
 DistanceMatrix ComputePairwiseDistances(const std::vector<Trajectory>& trajs,
                                         Measure m);
 
-/// Parallel variant: rows of the upper triangle are distributed over
-/// `num_threads` workers. `fn` must be thread-safe (the exact measures
-/// are). Results are identical to the serial driver.
-DistanceMatrix ComputePairwiseDistancesParallel(
-    const std::vector<Trajectory>& trajs, const DistanceFn& fn,
-    size_t num_threads);
-
 }  // namespace neutraj
 
 #endif  // NEUTRAJ_DISTANCE_PAIRWISE_H_

@@ -41,13 +41,6 @@ Point Grid::CellCenter(const GridCell& c) const {
                region_.min_y + (c.qy + 0.5) * cell_h_);
 }
 
-GridSequence Grid::Discretize(const Trajectory& t) const {
-  GridSequence seq;
-  seq.reserve(t.size());
-  for (const Point& p : t) seq.push_back(CellOf(p));
-  return seq;
-}
-
 Point Grid::Normalize(const Point& p) const {
   const double w = region_.Width() > 0 ? region_.Width() : 1.0;
   const double h = region_.Height() > 0 ? region_.Height() : 1.0;

@@ -25,9 +25,6 @@ struct GridCell {
   }
 };
 
-/// A trajectory mapped to grid space: one cell index per sample point.
-using GridSequence = std::vector<GridCell>;
-
 /// Uniform P x Q grid over a bounding region.
 ///
 /// Points outside the region are clamped to the border cells, mirroring the
@@ -60,9 +57,6 @@ class Grid {
   int64_t NumCells() const {
     return static_cast<int64_t>(num_cols_) * num_rows_;
   }
-
-  /// Maps every point of a trajectory to a grid cell.
-  GridSequence Discretize(const Trajectory& t) const;
 
   /// Normalizes a point into [0,1]^2 relative to the grid region; used as
   /// the coordinate input X_t^c of the RNN so training is scale-free.

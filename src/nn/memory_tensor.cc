@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 namespace neutraj::nn {
@@ -36,12 +37,18 @@ void MemoryTensor::BlendWrite(const GridCell& cell, const Vector& gate,
   // fire in every build type, not just under NEUTRAJ_CHECKS.
   NEUTRAJ_ASSERT_MSG(gate.size() == dim_ && value.size() == dim_,
                      "BlendWrite shape mismatch");
+  BlendSlice(cell, gate.data(), value.data());
+}
+
+void MemoryTensor::BlendSlice(const GridCell& cell, const double* gate,
+                              const double* value) {
   NEUTRAJ_ASSERT_MSG(cell.px >= 0 && cell.px < num_cols_ && cell.qy >= 0 &&
                          cell.qy < num_rows_,
                      "BlendWrite cell out of bounds");
-  NEUTRAJ_ASSERT_MSG(check_internal::AllFinite(gate) &&
-                         check_internal::AllFinite(value),
-                     "BlendWrite: non-finite SAM memory write");
+  NEUTRAJ_ASSERT_MSG(
+      check_internal::AllFinite(std::span<const double>(gate, dim_)) &&
+          check_internal::AllFinite(std::span<const double>(value, dim_)),
+      "BlendWrite: non-finite SAM memory write");
   double* slot = MutableSlice(cell);
   for (size_t k = 0; k < dim_; ++k) {
     slot[k] = gate[k] * value[k] + (1.0 - gate[k]) * slot[k];
@@ -49,9 +56,13 @@ void MemoryTensor::BlendWrite(const GridCell& cell, const Vector& gate,
   written_[Offset(cell) / dim_] = 1;
 }
 
-void MemoryTensor::ApplyWrites(const std::vector<PendingMemoryWrite>& log) {
-  for (const PendingMemoryWrite& w : log) {
-    BlendWrite(w.cell, w.gate, w.value);
+void MemoryTensor::ApplyWrites(const MemoryWriteLog& log) {
+  NEUTRAJ_ASSERT_MSG(log.blocks.size() == log.cells.size() * 2 * dim_,
+                     "BlendWrite shape mismatch");
+  const double* block = log.blocks.data();
+  for (const GridCell& cell : log.cells) {
+    BlendSlice(cell, block, block + dim_);
+    block += 2 * dim_;
   }
 }
 

@@ -18,6 +18,8 @@
 
 namespace neutraj::nn {
 
+struct MemoryWriteLog;
+
 /// Dense P x Q x d memory with O(1) cell access.
 class MemoryTensor {
  public:
@@ -51,10 +53,10 @@ class MemoryTensor {
   /// a non-finite write would silently poison every later read of the cell.
   void BlendWrite(const GridCell& cell, const Vector& gate, const Vector& value);
 
-  /// Replays recorded writes in log order via BlendWrite — the commit step
-  /// of the deferred-write protocol used by parallel training (see
-  /// MemoryWriteLog below).
-  void ApplyWrites(const std::vector<struct PendingMemoryWrite>& log);
+  /// Replays recorded writes in log order with BlendWrite's blend and
+  /// checks — the commit step of the deferred-write protocol used by
+  /// parallel training (see MemoryWriteLog below).
+  void ApplyWrites(const MemoryWriteLog& log);
 
   /// Resets all cells to zero (used between training runs).
   void Clear();
@@ -72,6 +74,9 @@ class MemoryTensor {
   void RecomputeWrittenFlags();
 
  private:
+  /// BlendWrite's body once the gate/value shapes are known to be dim_.
+  void BlendSlice(const GridCell& cell, const double* gate, const double* value);
+
   size_t Offset(const GridCell& cell) const {
     NEUTRAJ_DCHECK_MSG(cell.px >= 0 && cell.px < num_cols_ && cell.qy >= 0 &&
                            cell.qy < num_rows_,
@@ -88,20 +93,24 @@ class MemoryTensor {
   std::vector<char> written_;  // One flag per cell.
 };
 
-/// One recorded (but not yet applied) SAM memory write.
+/// Recorded (but not yet applied) SAM memory writes, in order.
 ///
 /// Parallel training runs many encodes concurrently against a read-only
 /// memory snapshot; each encode records its writes into a MemoryWriteLog
 /// instead of mutating M, and the trainer commits all logs in a fixed
 /// anchor order after the batch barrier. This makes the memory state a pure
 /// function of the batch, independent of thread interleaving.
-struct PendingMemoryWrite {
-  GridCell cell{0, 0};
-  Vector gate;
-  Vector value;
-};
+/// Storage is flat and clear() keeps its capacity, so a warm log records
+/// writes without allocating.
+struct MemoryWriteLog {
+  std::vector<GridCell> cells;
+  std::vector<double> blocks;  ///< gate_0 value_0 gate_1 value_1 ..., d each.
 
-using MemoryWriteLog = std::vector<PendingMemoryWrite>;
+  void clear() {
+    cells.clear();
+    blocks.clear();
+  }
+};
 
 }  // namespace neutraj::nn
 

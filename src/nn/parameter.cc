@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "nn/memory_tensor.h"
 
 namespace neutraj::nn {
 
@@ -41,7 +42,7 @@ void GradBuffer::AddTo(const std::vector<Param*>& params) const {
 }
 
 void ZeroGrads(const std::vector<Param*>& params) {
-  for (Param* p : params) p->ZeroGrad();
+  for (Param* p : params) p->grad.Zero();
 }
 
 double GradNorm(const std::vector<Param*>& params) {
@@ -106,6 +107,38 @@ void DeserializeParams(const std::string& text,
     }
     NEUTRAJ_DCHECK_FINITE(p->value.values());
   }
+}
+
+std::string SerializeMemory(const MemoryTensor* memory) {
+  std::ostringstream out;
+  out.precision(17);
+  const size_t n = memory == nullptr ? 0 : memory->values().size();
+  out << n << '\n';
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) out << ' ';
+    out << memory->values()[i];
+  }
+  return out.str();
+}
+
+void DeserializeMemory(const std::string& text, MemoryTensor* memory,
+                       const std::string& source) {
+  std::istringstream in(text);
+  size_t count = 0;
+  if (!(in >> count)) {
+    throw std::runtime_error(source + ": bad memory section");
+  }
+  if (memory == nullptr) {
+    if (count != 0) throw std::runtime_error(source + ": unexpected memory block");
+    return;
+  }
+  if (count != memory->values().size()) {
+    throw std::runtime_error(source + ": memory size mismatch");
+  }
+  for (double& v : memory->values()) {
+    if (!(in >> v)) throw std::runtime_error(source + ": truncated memory values");
+  }
+  memory->RecomputeWrittenFlags();
 }
 
 }  // namespace neutraj::nn

@@ -20,8 +20,6 @@ struct Param {
   Param() = default;
   Param(std::string n, size_t rows, size_t cols)
       : name(std::move(n)), value(rows, cols), grad(rows, cols) {}
-
-  void ZeroGrad() { grad.Zero(); }
 };
 
 /// A detached gradient accumulator shaped like a parameter set.
@@ -72,6 +70,20 @@ std::string SerializeParams(const std::vector<const Param*>& params);
 /// Restores values into `params` (matched by order; names/shapes verified).
 /// Throws std::runtime_error on mismatch or parse failure.
 void DeserializeParams(const std::string& text, const std::vector<Param*>& params);
+
+class MemoryTensor;
+
+/// Serializes SAM memory values for the model and checkpoint "memory"
+/// sections: `count\n v v ...`. A null `memory` (a backbone without SAM)
+/// writes a zero count.
+std::string SerializeMemory(const MemoryTensor* memory);
+
+/// Restores values written by SerializeMemory into `memory` (null for a
+/// backbone without SAM) and recomputes its written flags. Throws
+/// std::runtime_error prefixed with `source` on a malformed section or a
+/// size mismatch.
+void DeserializeMemory(const std::string& text, MemoryTensor* memory,
+                       const std::string& source);
 
 }  // namespace neutraj::nn
 

@@ -101,7 +101,9 @@ void SamModule::Write(MemoryTensor* memory, const GridCell& center,
                       const Vector& s, const Vector& value,
                       MemoryWriteLog* write_log) {
   if (write_log != nullptr) {
-    write_log->push_back({center, s, value});
+    write_log->cells.push_back(center);
+    write_log->blocks.insert(write_log->blocks.end(), s.begin(), s.end());
+    write_log->blocks.insert(write_log->blocks.end(), value.begin(), value.end());
   } else {
     memory->BlendWrite(center, s, value);
   }

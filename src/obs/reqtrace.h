@@ -214,8 +214,8 @@ class StageSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Tracing knobs; lives on serve::ServerOptions and is forwarded to the
-/// service's tracer before serving.
+/// Tracing knobs; applied to a service's tracer with
+/// serve::QueryService::ConfigureTracing before serving.
 struct ReqTraceOptions {
   /// Head-based sampling: trace 1 in N contextless requests (the server
   /// generates their ids). 0 = off. A client-supplied sampled TraceContext

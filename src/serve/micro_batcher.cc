@@ -118,7 +118,6 @@ void MicroBatcher::BatcherLoop() {
 }
 
 void MicroBatcher::RunBatch(std::vector<Item>* batch) {
-  const size_t n = batch->size();
   // Per-item execution with per-item error capture: one bad trajectory
   // (e.g. empty) fails only its own BatchResult slot, never the whole
   // group. Workers write disjoint indices; the group's promise fires when
@@ -151,24 +150,11 @@ void MicroBatcher::RunBatch(std::vector<Item>* batch) {
     }
   };
 
-  const size_t workers = std::min(workspaces_.size(), n);
-  if (workers <= 1) {
-    for (Item& item : *batch) run_item(&item, &workspaces_[0]);
-    return;
-  }
-  // Contiguous chunks, one workspace per chunk; ThreadPool::Wait is a
-  // barrier, so workspaces are never shared across batches either.
-  const size_t chunk = (n + workers - 1) / workers;
-  size_t widx = 0;
-  for (size_t start = 0; start < n; start += chunk, ++widx) {
-    const size_t end = std::min(start + chunk, n);
-    nn::CellWorkspace* ws = &workspaces_[widx];
-    Item* items = batch->data();
-    pool_.Submit([run_item, items, start, end, ws] {
-      for (size_t i = start; i < end; ++i) run_item(&items[i], ws);
-    });
-  }
-  pool_.Wait();
+  // One workspace per chunk; ForEachChunk is a barrier, so workspaces are
+  // never shared across batches either.
+  ForEachChunk(&pool_, batch->size(), [&](size_t lo, size_t hi, size_t chunk) {
+    for (size_t i = lo; i < hi; ++i) run_item(&(*batch)[i], &workspaces_[chunk]);
+  });
 }
 
 }  // namespace neutraj::serve

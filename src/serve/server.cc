@@ -75,12 +75,6 @@ Server::Server(QueryService* service, const ServerOptions& opts)
   if (opts_.max_frame_payload > kWireMaxPayload) {
     opts_.max_frame_payload = kWireMaxPayload;
   }
-  // Forward tracing knobs only when the caller set any: a default-options
-  // server leaves the service's tracer alone (tests may have configured it
-  // directly), and client-forced traces work without any configuration.
-  if (opts_.trace.sample_every != 0 || !opts_.trace.slow_log_path.empty()) {
-    service_->ConfigureTracing(opts_.trace);
-  }
 }
 
 Server::~Server() {

@@ -49,11 +49,6 @@ struct ServerOptions {
   /// closed, so stalled or half-dead peers cannot pin handler slots against
   /// max_connections forever. 0 disables the timeout (block indefinitely).
   uint32_t idle_timeout_ms = 0;
-  /// Request-tracing knobs (sampling rate, trace ring, slow-query log).
-  /// Applied to the service's tracer at construction only when non-default,
-  /// so tests that call QueryService::ConfigureTracing directly are not
-  /// clobbered; client-forced traces (--trace-id) work even at defaults.
-  obs::ReqTraceOptions trace;
 };
 
 /// A long-lived loopback/TCP server bound to one QueryService.

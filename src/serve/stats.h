@@ -3,14 +3,12 @@
 // ServerStats is a thin per-endpoint view over an obs::MetricsRegistry: each
 // endpoint resolves its latency histogram ("serve/<name>/latency_us") and
 // error counter ("serve/<name>/errors") once at construction, so Record is
-// entirely lock-free — per-endpoint atomic increments, no shared mutex. That
-// removes the single-lock contention the old implementation put on every
-// request when many handler threads record concurrently.
+// entirely lock-free — per-endpoint atomic increments, no shared mutex — and
+// many handler threads record concurrently without contending.
 //
-// The histogram type itself (log2 microsecond buckets, bucket 0 = [0, 1] µs
-// inclusive, bucket i >= 1 = (2^(i-1), 2^i] µs) now lives in obs/metrics.h so
-// trainer and database timings share the serving bucket layout; the alias
-// below keeps existing serve-side call sites compiling unchanged.
+// The histograms are obs::ConcurrentHistogram (obs/metrics.h: log2
+// microsecond buckets, bucket 0 = [0, 1] µs inclusive, bucket i >= 1 =
+// (2^(i-1), 2^i] µs), the bucket layout trainer and database timings share.
 //
 // All timing flows through Stopwatch (steady_clock); nothing here reads the
 // wall clock.
@@ -20,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>

@@ -109,7 +109,7 @@ DurableStore::RecoveryInfo DurableStore::Open() {
     if (r.tail != WalTail::kClean) tail_truncations_->Increment();
   }
 
-  wal_ = std::make_unique<WalWriter>(wal_path_, files_, opts_.sync_writes);
+  wal_ = std::make_unique<WalWriter>(wal_path_, files_);
   wal_records_ = 0;
   opened_ = true;
 

@@ -55,9 +55,6 @@ class DurableStore {
     /// WAL records that trigger an automatic compaction from Insert();
     /// 0 compacts only on explicit Compact() / Open().
     size_t compact_every = 1024;
-    /// fsync each WAL append. Production default; the fault harness turns
-    /// it off because FaultyFile intercepts syncs anyway.
-    bool sync_writes = true;
     /// I/O seam; nullptr uses FileFactory::Posix().
     FileFactory* files = nullptr;
   };

@@ -77,9 +77,8 @@ WalReplayResult ReplayWal(const std::string& bytes, EmbeddingDatabase* db);
 /// Appender over one WAL file. Not thread-safe; DurableStore serializes.
 class WalWriter {
  public:
-  /// Opens `path` for appending via `factory`. `sync` false skips the
-  /// per-record fsync (test harness; production keeps it on).
-  WalWriter(std::string path, FileFactory* factory, bool sync);
+  /// Opens `path` for appending via `factory`.
+  WalWriter(std::string path, FileFactory* factory);
 
   /// Appends one record durably (write + fsync). Throws StoreError on any
   /// I/O failure, in which case nothing may be acknowledged.
@@ -89,15 +88,12 @@ class WalWriter {
   void Reset();
 
   uint64_t appended_records() const { return appended_records_; }
-  uint64_t appended_bytes() const { return appended_bytes_; }
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
   std::unique_ptr<File> file_;
-  bool sync_;
   uint64_t appended_records_ = 0;
-  uint64_t appended_bytes_ = 0;
 };
 
 }  // namespace neutraj::store

@@ -587,7 +587,7 @@ TEST_F(ServerTest, DegradedStoreRefusesInsertsButKeepsServingQueries) {
   store::FaultyFileFactory faulty(&store::FileFactory::Posix(), &plan);
   EmbeddingDatabase db = EmbeddingDatabase::Build(model_, corpus_, 2);
   store::DurableStore durable(
-      &db, {.data_dir = data_dir, .sync_writes = true, .files = &faulty});
+      &db, {.data_dir = data_dir, .files = &faulty});
   durable.Open();
   QueryService svc(model_, &db, BatchOpts(), &durable);
   Server server(&svc, ServerOptions{});

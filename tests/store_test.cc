@@ -185,7 +185,7 @@ TEST_F(StoreTest, ReplayStopsAtDimMismatch) {
 
 TEST_F(StoreTest, WalWriterAppendsAndResets) {
   const std::string path = dir_ + "/wal.log";
-  WalWriter writer(path, &FileFactory::Posix(), /*sync=*/true);
+  WalWriter writer(path, &FileFactory::Posix());
   writer.Append({0, MakeEmbedding(8, 1)});
   writer.Append({1, MakeEmbedding(8, 2)});
   EXPECT_EQ(writer.appended_records(), 2u);

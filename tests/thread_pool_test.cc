@@ -1,4 +1,5 @@
-// Tests for the thread pool and the parallel drivers built on it.
+// Tests for the thread pool, its chunked fan-out and the parallel drivers
+// built on it.
 
 #include <gtest/gtest.h>
 
@@ -6,10 +7,13 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/trainer.h"
-#include "distance/pairwise.h"
 #include "test_util.h"
 
 namespace neutraj {
@@ -128,22 +132,69 @@ TEST(ParallelForTest, ZeroIterationsIsNoOp) {
   EXPECT_FALSE(ran);
 }
 
-TEST(ParallelPairwiseTest, MatchesSerialDriver) {
-  Rng rng(131);
-  const auto corpus = testing::RandomCorpus(25, 5, 15, 400.0, &rng);
-  const DistanceFn fn = ExactDistanceFn(Measure::kFrechet);
-  const DistanceMatrix serial = ComputePairwiseDistances(corpus, fn);
-  for (size_t threads : {1u, 3u, 8u}) {
-    const DistanceMatrix parallel =
-        ComputePairwiseDistancesParallel(corpus, fn, threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      for (size_t j = 0; j < serial.size(); ++j) {
-        EXPECT_DOUBLE_EQ(parallel.At(i, j), serial.At(i, j))
-            << "threads=" << threads;
-      }
-    }
+using Bounds = std::vector<std::pair<size_t, size_t>>;
+
+// The [lo, hi) ForEachChunk hands each chunk index (an out-of-range index
+// throws from at()); `inline_only` reports whether every chunk ran on the
+// calling thread.
+Bounds Chunks(ThreadPool* pool, size_t n, bool* inline_only) {
+  Bounds out(pool == nullptr ? 1 : pool->num_threads());
+  std::atomic<bool> off_caller{false};
+  const std::thread::id caller = std::this_thread::get_id();
+  ForEachChunk(pool, n, [&](size_t lo, size_t hi, size_t chunk) {
+    out.at(chunk) = {lo, hi};
+    if (std::this_thread::get_id() != caller) off_caller = true;
+  });
+  while (!out.empty() && out.back().second == 0) out.pop_back();
+  *inline_only = !off_caller;
+  return out;
+}
+
+TEST(ForEachChunkTest, SplitsIntoContiguousCeilSizedChunksOnThePool) {
+  const std::vector<std::tuple<size_t, size_t, Bounds>> cases = {
+      {8, 4, {{0, 2}, {2, 4}, {4, 6}, {6, 8}}},
+      {10, 4, {{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
+      {5, 4, {{0, 2}, {2, 4}, {4, 5}}},  // ceil(5 / 4) leaves a worker idle.
+      {3, 8, {{0, 1}, {1, 2}, {2, 3}}},  // n < threads.
+      {7, 2, {{0, 4}, {4, 7}}}};
+  for (const auto& [n, threads, want] : cases) {
+    ThreadPool pool(threads);
+    bool inline_only = true;
+    EXPECT_EQ(Chunks(&pool, n, &inline_only), want) << n << " on " << threads;
+    EXPECT_FALSE(inline_only);
   }
+}
+
+TEST(ForEachChunkTest, OneChunkRunsInlineOnTheCaller) {
+  ThreadPool one(1), four(4);
+  for (auto [pool, n] : {std::pair<ThreadPool*, size_t>{nullptr, 17},
+                         {&one, 17}, {&four, 1}}) {
+    bool inline_only = false;
+    EXPECT_EQ(Chunks(pool, n, &inline_only), (Bounds{{0, n}}));
+    EXPECT_TRUE(inline_only);
+  }
+}
+
+TEST(ForEachChunkTest, ZeroItemsRunsNothing) {
+  ThreadPool pool(4);
+  bool inline_only = false;
+  EXPECT_TRUE(Chunks(&pool, 0, &inline_only).empty());
+  EXPECT_TRUE(Chunks(nullptr, 0, &inline_only).empty());
+}
+
+TEST(ForEachChunkTest, RethrowsFirstExceptionAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(ForEachChunk(&pool, 8,
+                            [&](size_t, size_t, size_t chunk) {
+                              if (chunk == 2) throw std::runtime_error("2");
+                              finished.fetch_add(1);
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);  // The sibling chunks still ran.
+  bool inline_only = true;
+  EXPECT_EQ(Chunks(&pool, 4, &inline_only),
+            (Bounds{{0, 1}, {1, 2}, {2, 3}, {3, 4}}));
 }
 
 TEST(ParallelEmbedTest, MatchesSerialEmbedding) {

@@ -53,6 +53,9 @@
 #      write exist once and every backbone reaches them through SamModule;
 #      a cell calling them directly is a second copy of the SAM step.
 #      (nn/attention.{h,cc} declares and defines AttentionForwardPrefilled.)
+#  10. One chunked fan-out: outside common/thread_pool.{h,cc}, src/ may not
+#      call ThreadPool::Submit. A hand-rolled Submit loop is a second copy of
+#      ForEachChunk's chunk boundaries, inline path and error rethrow.
 #
 # Usage: tools/lint.sh   (from anywhere; exits non-zero on any violation)
 
@@ -160,6 +163,14 @@ hits=$(grep -rnE '\b(GatherWindow|AttentionForwardPrefilled|BlendWrite)\(' \
     | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
 if [[ -n "$hits" ]]; then
   report "SAM read/write primitive called outside nn/sam_module (use SamModule)" "$hits"
+fi
+
+# -- Rule 10: thread-pool fan-out goes through ForEachChunk -----------------
+hits=$(grep -rnE '(\.|->)Submit\(' src/ --include='*.cc' --include='*.h' \
+    | grep -vE '^src/common/thread_pool\.(h|cc):' \
+    | grep -vE '^[^:]*:[0-9]+: *(//|\*)' || true)
+if [[ -n "$hits" ]]; then
+  report "ThreadPool::Submit called outside common/thread_pool (use ForEachChunk)" "$hits"
 fi
 
 if [[ "$fail" -ne 0 ]]; then

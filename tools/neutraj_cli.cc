@@ -163,8 +163,7 @@ int CmdEmbed(const Args& args) {
   const auto corpus = LoadCorpusGuarded(args.Require("data"));
   const size_t threads = static_cast<size_t>(args.GetInt("threads", 1));
   Stopwatch sw;
-  const auto embeds = threads > 1 ? model.EmbedAllParallel(corpus, threads)
-                                  : model.EmbedAll(corpus);
+  const auto embeds = model.EmbedAllParallel(corpus, threads);
   std::string out;
   char buf[32];
   for (const auto& e : embeds) {

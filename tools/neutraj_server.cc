@@ -160,18 +160,18 @@ int Run(const Args& args) {
   server_opts.port = static_cast<uint16_t>(args.GetInt("port", 0));
   server_opts.idle_timeout_ms =
       static_cast<uint32_t>(args.GetInt("idle-timeout-ms", 0));
-  server_opts.trace.sample_every =
+  obs::ReqTraceOptions trace_opts;
+  trace_opts.sample_every =
       static_cast<uint32_t>(args.GetInt("trace-sample-every", 0));
-  server_opts.trace.slow_log_path = args.Get("slow-query-log");
-  server_opts.trace.slow_threshold_us =
+  trace_opts.slow_log_path = args.Get("slow-query-log");
+  trace_opts.slow_threshold_us =
       static_cast<double>(args.GetInt("slow-query-threshold-us", 10000));
-  if (server_opts.trace.sample_every != 0 ||
-      !server_opts.trace.slow_log_path.empty()) {
+  if (trace_opts.sample_every != 0 || !trace_opts.slow_log_path.empty()) {
+    service.ConfigureTracing(trace_opts);
     std::printf("request tracing: sample 1-in-%u%s%s\n",
-                server_opts.trace.sample_every,
-                server_opts.trace.slow_log_path.empty() ? ""
-                                                        : ", slow-query log ",
-                server_opts.trace.slow_log_path.c_str());
+                trace_opts.sample_every,
+                trace_opts.slow_log_path.empty() ? "" : ", slow-query log ",
+                trace_opts.slow_log_path.c_str());
   }
   serve::Server server(&service, server_opts);
   server.Start();
